@@ -232,13 +232,15 @@ class IterativeMapReduceDriver:
     _contexts: dict[str, MapperContext] = field(default_factory=dict)
 
     def mappers(self) -> list[IterativeMapper]:
-        """The configured mappers, in sorted task-key order.
+        """The configured mappers, in block order of the input file.
 
         Public accessor for callers (trainers, diagnostics) that need
-        the per-partition learner state after :meth:`setup` — stable
-        ordering, no reliance on the private task table.
+        the per-partition learner state after :meth:`setup`.  Block
+        order is the order the map wave merges outputs in, so the i-th
+        mapper holds the i-th partition — at any learner count, unlike
+        a sort of the ``"node/block"`` task keys.
         """
-        return [self._mappers[key] for key in sorted(self._mappers)]
+        return list(self._mappers.values())
 
     def setup(self, input_file: str) -> None:
         """Instantiate and configure one mapper per block, data-locally."""

@@ -1,13 +1,13 @@
 """The paper's primary contribution: privacy-preserving consensus SVMs.
 
-Four algorithm variants (Section IV), each available two ways:
+Four algorithm variants (Section IV), each available two ways that run
+one ADMM loop (:mod:`repro.core.mapreduce_svm`):
 
 * an **in-process trainer** (:class:`HorizontalLinearSVM`,
   :class:`HorizontalKernelSVM`, :class:`VerticalLinearSVM`,
-  :class:`VerticalKernelSVM`) that runs the pure ADMM mathematics —
+  :class:`VerticalKernelSVM`) on a private cluster with plaintext sums —
   used by unit tests, ablations, and the Fig. 4 accuracy series;
-* the **full system** (:class:`PrivacyPreservingSVM`) that executes the
-  same worker code on the simulated Hadoop/Twister cluster with the
+* the **full system** (:class:`PrivacyPreservingSVM`) with the
   coalition-resistant secure summation protocol at the Reducer.
 """
 

@@ -34,21 +34,22 @@ which is what lets the consensus image be exchanged at all.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 import scipy.linalg as sla
 
-from repro.core.results import IterationRecord, TrainingHistory
+from repro.core.mapreduce_svm import (
+    HorizontalConsensusReducer,
+    HorizontalSVMMapper,
+    horizontal_payloads,
+    run_in_process,
+)
+from repro.core.results import TrainingHistory
 from repro.data.dataset import Dataset
 from repro.svm.kernels import Kernel, RBFKernel
-from repro.svm.model import accuracy
+from repro.svm.model import SignClassifier
 from repro.svm.qp import solve_box_qp
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_matrix, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.health import HealthMonitor
 
 __all__ = ["HorizontalKernelSVM", "HorizontalKernelWorker", "sample_landmarks"]
 
@@ -199,7 +200,7 @@ class HorizontalKernelWorker:
         return self.kernel(X, self.X) @ a + self.kernel(X, self.landmarks) @ c + b
 
 
-class HorizontalKernelSVM:
+class HorizontalKernelSVM(SignClassifier):
     """In-process trainer for the kernel horizontal scheme.
 
     Parameters
@@ -254,89 +255,47 @@ class HorizontalKernelSVM:
         self.history_ = TrainingHistory()
 
     def fit(
-        self,
-        partitions: list[Dataset],
-        *,
-        eval_set: Dataset | None = None,
-        health_monitor: "HealthMonitor | None" = None,
+        self, partitions: list[Dataset], *, eval_set: Dataset | None = None
     ) -> "HorizontalKernelSVM":
         """Train from per-learner datasets; see :class:`HorizontalLinearSVM`."""
-        if len(partitions) < 2:
-            raise ValueError("need at least 2 partitions")
-        n_features = partitions[0].n_features
-        if any(p.n_features != n_features for p in partitions):
-            raise ValueError("all partitions must share the feature dimension")
-
+        payloads = horizontal_payloads(
+            partitions,
+            C=self.C,
+            rho=self.rho,
+            qp_tol=self.qp_tol,
+            qp_max_sweeps=self.qp_max_sweeps,
+            kernel=self.kernel,
+        )
         if self._given_landmarks is not None:
             landmarks = check_matrix(self._given_landmarks, "landmarks")
         else:
             landmarks = sample_landmarks(
-                self.n_landmarks, n_features, scale=self.landmark_scale, seed=self.seed
+                self.n_landmarks,
+                partitions[0].n_features,
+                scale=self.landmark_scale,
+                seed=self.seed,
             )
         self.landmarks_ = landmarks
-
-        n_learners = len(partitions)
-        self.workers_ = [
-            HorizontalKernelWorker(
-                p.X,
-                p.y,
-                landmarks,
-                kernel=self.kernel,
-                C=self.C,
-                rho=self.rho,
-                n_learners=n_learners,
-                qp_tol=self.qp_tol,
-                qp_max_sweeps=self.qp_max_sweeps,
-            )
-            for p in partitions
-        ]
-        if not 0 <= self.eval_learner < n_learners:
+        if not 0 <= self.eval_learner < len(payloads):
             raise ValueError(f"eval_learner {self.eval_learner} out of range")
 
-        z = np.zeros(landmarks.shape[0])
-        s = 0.0
-        self.history_ = TrainingHistory()
-
-        for iteration in range(self.max_iter):
-            z_sum = np.zeros_like(z)
-            b_sum = 0.0
-            for worker in self.workers_:
-                out = worker.step(z, s)
-                z_sum += out["z_contrib"]
-                b_sum += float(out["s_contrib"][0])
-            z_new = z_sum / n_learners
-            s_new = b_sum / n_learners
-
-            z_change = float(np.sum((z_new - z) ** 2) + (s_new - s) ** 2)
-            mean_gw = np.mean([worker.gw for worker in self.workers_], axis=0)
-            primal = float(np.linalg.norm(mean_gw - z_new))
-            z, s = z_new, s_new
-
-            acc = float("nan")
-            if eval_set is not None:
-                scores = self.workers_[self.eval_learner].local_decision_function(eval_set.X)
-                preds = np.where(scores >= 0, 1.0, -1.0)
-                acc = accuracy(eval_set.y, preds)
-            self.history_.append(
-                IterationRecord(
-                    iteration=iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    accuracy=acc,
-                )
-            )
-            if health_monitor is not None:
-                health_monitor.observe(
-                    iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    residual_available=True,
-                )
-            if self.tol is not None and z_change <= self.tol:
-                break
-
-        self.consensus_ = z
-        self.consensus_bias_ = s
+        reducer = HorizontalConsensusReducer(landmarks.shape[0], tol=self.tol)
+        self.workers_ = run_in_process(
+            [dict(payload, landmarks=landmarks) for payload in payloads],
+            HorizontalSVMMapper,
+            reducer,
+            max_iter=self.max_iter,
+            local_state=lambda worker: worker.gw,
+            evaluate=None
+            if eval_set is None
+            else (
+                eval_set.y,
+                lambda workers: workers[self.eval_learner].local_decision_function(eval_set.X),
+            ),
+        )
+        self.history_ = reducer.history
+        self.consensus_ = reducer.z
+        self.consensus_bias_ = reducer.s
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -349,11 +308,3 @@ class HorizontalKernelSVM:
         if not self.workers_:
             raise RuntimeError("model must be fit before use")
         return self.workers_[self.eval_learner].local_decision_function(X)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted -1/+1 labels."""
-        return np.where(self.decision_function(X) >= 0, 1.0, -1.0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy on ``(X, y)``."""
-        return accuracy(check_labels(y, "y"), self.predict(X))

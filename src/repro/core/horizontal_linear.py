@@ -31,19 +31,21 @@ previous ``lambda`` — this is what makes per-iteration Map() cheap.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from repro.core.results import IterationRecord, TrainingHistory
+from repro.cluster.twister import IterationResult
+from repro.core.mapreduce_svm import (
+    HorizontalConsensusReducer,
+    HorizontalSVMMapper,
+    horizontal_payloads,
+    run_in_process,
+)
+from repro.core.results import TrainingHistory
 from repro.data.dataset import Dataset
-from repro.svm.model import accuracy
+from repro.svm.model import SignClassifier
 from repro.svm.qp import solve_box_qp
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_matrix, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.health import HealthMonitor
 
 __all__ = ["HorizontalLinearSVM", "HorizontalLinearWorker"]
 
@@ -155,13 +157,15 @@ class HorizontalLinearWorker:
         return X @ self.w + self.b
 
 
-class HorizontalLinearSVM:
+class HorizontalLinearSVM(SignClassifier):
     """In-process trainer for the linear horizontal scheme.
 
-    Runs the full ADMM loop over a list of local partitions without the
-    cluster machinery (useful for unit tests, ablations, and as the
-    numerical reference for the MapReduce trainer, which reuses
-    :class:`HorizontalLinearWorker` verbatim).
+    Trains on a list of local partitions through the same ADMM engine as
+    :class:`~repro.core.trainer.PrivacyPreservingSVM`, on a private
+    in-memory cluster with plaintext aggregation (see
+    :func:`~repro.core.mapreduce_svm.run_in_process`).  Useful for unit
+    tests, ablations, and as the numerical reference for the secure
+    trainer: the two differ only in how the sums are formed.
 
     Parameters
     ----------
@@ -177,7 +181,7 @@ class HorizontalLinearSVM:
         iteration (stale/partial-participation ADMM, an extension: the
         remaining learners resend their cached contribution, modeling
         slow or intermittently-available organizations).  1.0 (default)
-        is the paper's synchronous scheme.
+        is the paper's synchronous scheme.  ``seed`` drives the draw.
     """
 
     def __init__(
@@ -210,93 +214,48 @@ class HorizontalLinearSVM:
         self.history_ = TrainingHistory()
 
     def fit(
-        self,
-        partitions: list[Dataset],
-        *,
-        eval_set: Dataset | None = None,
-        health_monitor: "HealthMonitor | None" = None,
+        self, partitions: list[Dataset], *, eval_set: Dataset | None = None
     ) -> "HorizontalLinearSVM":
         """Train from per-learner datasets (see :func:`horizontal_partition`).
 
         ``eval_set`` enables the per-iteration correct-ratio series of
-        Fig. 4(e) (scored with the consensus model).  ``health_monitor``
-        optionally streams each iteration into a
-        :class:`~repro.obs.health.HealthMonitor` (signals are recorded,
-        not enforced — policy belongs to the caller).
+        Fig. 4(e) (scored with the consensus model).
         """
-        if len(partitions) < 2:
-            raise ValueError("need at least 2 partitions")
-        n_features = partitions[0].n_features
-        if any(p.n_features != n_features for p in partitions):
-            raise ValueError("all partitions must share the feature dimension")
-
-        n_learners = len(partitions)
-        self.workers_ = [
-            HorizontalLinearWorker(
-                p.X,
-                p.y,
-                C=self.C,
-                rho=self.rho,
-                n_learners=n_learners,
-                qp_tol=self.qp_tol,
-                qp_max_sweeps=self.qp_max_sweeps,
-            )
-            for p in partitions
-        ]
-
-        z = np.zeros(n_features)
-        s = 0.0
-        self.history_ = TrainingHistory()
+        payloads = horizontal_payloads(
+            partitions,
+            C=self.C,
+            rho=self.rho,
+            qp_tol=self.qp_tol,
+            qp_max_sweeps=self.qp_max_sweeps,
+        )
+        n_learners = len(payloads)
+        reducer = HorizontalConsensusReducer(partitions[0].n_features, tol=self.tol)
         rng = as_rng(self.seed)
         n_active = max(1, int(round(self.participation * n_learners)))
 
-        for iteration in range(self.max_iter):
-            if self.participation >= 1.0 or iteration == 0:
-                active = set(range(n_learners))
-            else:
-                active = set(rng.choice(n_learners, size=n_active, replace=False).tolist())
-            w_sum = np.zeros(n_features)
-            b_sum = 0.0
-            for index, worker in enumerate(self.workers_):
-                if index in active:
-                    out = worker.step(z, s)
-                else:
-                    out = worker.last_output  # stale resend
-                w_sum += out["z_contrib"]
-                b_sum += float(out["s_contrib"][0])
-            z_new = w_sum / n_learners
-            s_new = b_sum / n_learners
+        def participate(result: IterationResult, mappers: list[HorizontalSVMMapper]) -> None:
+            # Everyone solves in round 0; later rounds draw who solves
+            # afresh, and the rest resend their cached contribution.
+            if result.converged or result.iteration + 1 >= self.max_iter:
+                return
+            active = rng.choice(n_learners, size=n_active, replace=False).tolist()
+            for index, mapper in enumerate(mappers):
+                mapper.stale = index not in active
 
-            z_change = float(np.sum((z_new - z) ** 2) + (s_new - s) ** 2)
-            mean_w = np.mean([worker.w for worker in self.workers_], axis=0)
-            primal = float(np.linalg.norm(mean_w - z_new))
-            z, s = z_new, s_new
-
-            acc = float("nan")
-            if eval_set is not None:
-                scores = eval_set.X @ z + s
-                preds = np.where(scores >= 0, 1.0, -1.0)
-                acc = accuracy(eval_set.y, preds)
-            self.history_.append(
-                IterationRecord(
-                    iteration=iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    accuracy=acc,
-                )
-            )
-            if health_monitor is not None:
-                health_monitor.observe(
-                    iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    residual_available=True,
-                )
-            if self.tol is not None and z_change <= self.tol:
-                break
-
-        self.consensus_weights_ = z
-        self.consensus_bias_ = s
+        self.workers_ = run_in_process(
+            payloads,
+            HorizontalSVMMapper,
+            reducer,
+            max_iter=self.max_iter,
+            local_state=lambda worker: worker.w,
+            evaluate=None
+            if eval_set is None
+            else (eval_set.y, lambda workers: eval_set.X @ reducer.z + reducer.s),
+            after_round=participate if self.participation < 1.0 else None,
+        )
+        self.history_ = reducer.history
+        self.consensus_weights_ = reducer.z
+        self.consensus_bias_ = reducer.s
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -305,12 +264,3 @@ class HorizontalLinearSVM:
             raise RuntimeError("model must be fit before use")
         X = check_matrix(X, "X")
         return X @ self.consensus_weights_ + self.consensus_bias_
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted -1/+1 labels under the consensus model."""
-        scores = self.decision_function(X)
-        return np.where(scores >= 0, 1.0, -1.0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy of the consensus model."""
-        return accuracy(check_labels(y, "y"), self.predict(X))

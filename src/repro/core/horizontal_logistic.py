@@ -29,17 +29,18 @@ applies unchanged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from repro.core.results import IterationRecord, TrainingHistory
+from repro.core.mapreduce_svm import (
+    HorizontalSVMMapper,
+    RegularizedConsensusReducer,
+    horizontal_payloads,
+    run_in_process,
+)
+from repro.core.results import TrainingHistory
 from repro.data.dataset import Dataset
-from repro.svm.model import accuracy
+from repro.svm.model import SignClassifier
 from repro.utils.validation import check_labels, check_matrix, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.health import HealthMonitor
 
 __all__ = ["HorizontalLogisticRegression", "LogisticWorker"]
 
@@ -134,12 +135,13 @@ class LogisticWorker:
         }
 
 
-class HorizontalLogisticRegression:
+class HorizontalLogisticRegression(SignClassifier):
     """Privacy-preserving consensus logistic regression (in-process).
 
-    The same orchestration as
+    The same engine as
     :class:`~repro.core.horizontal_linear.HorizontalLinearSVM`, with
-    logistic workers and a regularized z-update.
+    logistic workers and a regularized z-update
+    (:class:`~repro.core.mapreduce_svm.RegularizedConsensusReducer`).
 
     Parameters
     ----------
@@ -170,65 +172,26 @@ class HorizontalLogisticRegression:
         self.history_ = TrainingHistory()
 
     def fit(
-        self,
-        partitions: list[Dataset],
-        *,
-        eval_set: Dataset | None = None,
-        health_monitor: "HealthMonitor | None" = None,
+        self, partitions: list[Dataset], *, eval_set: Dataset | None = None
     ) -> "HorizontalLogisticRegression":
         """Train from per-learner datasets."""
-        if len(partitions) < 2:
-            raise ValueError("need at least 2 partitions")
-        n_features = partitions[0].n_features
-        if any(p.n_features != n_features for p in partitions):
-            raise ValueError("all partitions must share the feature dimension")
-        n_learners = len(partitions)
-        self.workers_ = [LogisticWorker(p.X, p.y, rho=self.rho) for p in partitions]
-
-        z = np.zeros(n_features)
-        s = 0.0
-        self.history_ = TrainingHistory()
-        for iteration in range(self.max_iter):
-            w_sum = np.zeros(n_features)
-            b_sum = 0.0
-            for worker in self.workers_:
-                out = worker.step(z, s)
-                w_sum += out["z_contrib"]
-                b_sum += float(out["s_contrib"][0])
-            # Regularized averaging: the z-update of the consensus problem
-            # with (lam/2)||z||^2 at the coordinator.
-            z_new = self.rho * w_sum / (self.lam + n_learners * self.rho)
-            s_new = b_sum / n_learners  # bias unregularized
-
-            z_change = float(np.sum((z_new - z) ** 2) + (s_new - s) ** 2)
-            mean_w = np.mean([worker.w for worker in self.workers_], axis=0)
-            primal = float(np.linalg.norm(mean_w - z_new))
-            z, s = z_new, s_new
-
-            acc = float("nan")
-            if eval_set is not None:
-                preds = np.where(eval_set.X @ z + s >= 0, 1.0, -1.0)
-                acc = accuracy(eval_set.y, preds)
-            self.history_.append(
-                IterationRecord(
-                    iteration=iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    accuracy=acc,
-                )
-            )
-            if health_monitor is not None:
-                health_monitor.observe(
-                    iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    residual_available=True,
-                )
-            if self.tol is not None and z_change <= self.tol:
-                break
-
-        self.consensus_weights_ = z
-        self.consensus_bias_ = s
+        payloads = horizontal_payloads(partitions, rho=self.rho, loss="logistic")
+        reducer = RegularizedConsensusReducer(
+            partitions[0].n_features, lam=self.lam, rho=self.rho, tol=self.tol
+        )
+        self.workers_ = run_in_process(
+            payloads,
+            HorizontalSVMMapper,
+            reducer,
+            max_iter=self.max_iter,
+            local_state=lambda worker: worker.w,
+            evaluate=None
+            if eval_set is None
+            else (eval_set.y, lambda workers: eval_set.X @ reducer.z + reducer.s),
+        )
+        self.history_ = reducer.history
+        self.consensus_weights_ = reducer.z
+        self.consensus_bias_ = reducer.s
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -242,11 +205,3 @@ class HorizontalLogisticRegression:
         """P(y = +1 | x) under the consensus model."""
         scores = self.decision_function(X)
         return 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500)))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted -1/+1 labels."""
-        return np.where(self.decision_function(X) >= 0, 1.0, -1.0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy on ``(X, y)``."""
-        return accuracy(check_labels(y, "y"), self.predict(X))

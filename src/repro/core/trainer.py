@@ -15,10 +15,11 @@
   out.
 
 The numerical trajectory is identical (up to fixed-point rounding, about
-``2^-40`` per term) to the in-process trainers, because the same worker
-classes execute the mathematics; what this class adds is the *system*:
-placement, messaging, masking, and the accounting that backs the paper's
-privacy and scalability claims.
+``2^-40`` per term) to the in-process trainers, because both run the same
+mappers and reducers in the same driver loop; the in-process trainers
+merely sum in plaintext on a private cluster.  What this class adds is
+the *system*: secure aggregation, the health and audit wiring, and the
+accounting that backs the paper's privacy and scalability claims.
 
 Example
 -------
@@ -48,15 +49,20 @@ from repro.cluster.tracing import cost_table
 from repro.cluster.twister import (
     Aggregator,
     IterationResult,
+    IterativeMapper,
     IterativeMapReduceDriver,
     PlaintextAggregator,
 )
 from repro.core.horizontal_kernel import sample_landmarks
 from repro.core.mapreduce_svm import (
+    TRAINING_FILE,
     HorizontalConsensusReducer,
     HorizontalSVMMapper,
     VerticalReducerAdapter,
     VerticalSVMMapper,
+    cluster_driver,
+    horizontal_payloads,
+    vertical_setup,
 )
 from repro.core.partitioning import VerticalPartition
 from repro.core.results import TrainingHistory
@@ -72,15 +78,13 @@ from repro.obs.ledger import (
     dataset_fingerprint,
 )
 from repro.svm.kernels import Kernel
-from repro.svm.model import accuracy
-from repro.utils.validation import check_labels, check_matrix, check_positive
+from repro.svm.model import SignClassifier
+from repro.utils.validation import check_matrix, check_positive
 
 __all__ = ["PrivacyPreservingSVM"]
 
-_TRAINING_FILE = "training-data"
 
-
-class PrivacyPreservingSVM:
+class PrivacyPreservingSVM(SignClassifier):
     """Privacy-preserving distributed SVM on the simulated cluster.
 
     Parameters
@@ -123,8 +127,8 @@ class PrivacyPreservingSVM:
         any value yields bit-identical trajectories to sequential mode.
     on_health:
         Policy when a convergence-health detector fires during
-        training: ``"warn"`` (default) issues a ``RuntimeWarning`` per
-        signal, ``"raise"`` aborts with
+        training: ``"warn"`` (default) issues one ``RuntimeWarning``
+        each time a detector starts firing, ``"raise"`` aborts with
         :class:`~repro.obs.health.HealthPolicyError`, ``"ignore"``
         records silently.  Signals are always recorded on
         ``health_monitor_`` and in the run record either way.
@@ -202,15 +206,19 @@ class PrivacyPreservingSVM:
 
     def fit(self, data: list[Dataset] | VerticalPartition) -> "PrivacyPreservingSVM":
         """Train on partitioned data matching the configured scheme."""
+        reducer: HorizontalConsensusReducer | VerticalReducerAdapter
         if self.partitioning == "horizontal":
             if not isinstance(data, list):
                 raise TypeError("horizontal training expects a list of Dataset partitions")
-            payloads, reducer, n_consensus = self._prepare_horizontal(data)
-            mapper_factory = HorizontalSVMMapper
+            payloads, reducer = self._prepare_horizontal(data)
+            mapper_factory: type[IterativeMapper] = HorizontalSVMMapper
         else:
             if not isinstance(data, VerticalPartition):
                 raise TypeError("vertical training expects a VerticalPartition")
-            payloads, reducer, n_consensus = self._prepare_vertical(data)
+            self._partition = data
+            payloads, reducer = vertical_setup(
+                data, C=self.C, rho=self.rho, kernel=self.kernel, tol=self.tol
+            )
             mapper_factory = VerticalSVMMapper
 
         self._n_learners = len(payloads)
@@ -219,23 +227,16 @@ class PrivacyPreservingSVM:
 
         profiler = Profiler()
         network = Network(metrics=profiler)
-        hdfs = SimulatedHdfs(network)
-        learner_nodes = [f"learner-{m}" for m in range(self._n_learners)]
-        for node in learner_nodes:
-            hdfs.add_datanode(node)
-        hdfs.put(_TRAINING_FILE, payloads, preferred_nodes=learner_nodes, private=True)
-
         audit = ProtocolAuditLog(metrics=profiler, tracer=profiler.tracer)
         health = self._health_monitor_override or HealthMonitor()
         health.metrics = profiler
         health.tracer = profiler.tracer
-        aggregator = self._make_aggregator(audit)
-        driver = IterativeMapReduceDriver(
-            hdfs=hdfs,
-            mapper_factory=mapper_factory,
-            reducer=reducer,
-            aggregator=aggregator,
-            reducer_node="reducer",
+        driver = cluster_driver(
+            payloads,
+            mapper_factory,
+            reducer,
+            self._make_aggregator(audit),
+            network=network,
             n_map_workers=self.n_map_workers,
             on_round=self._health_hook(reducer.history, health),
         )
@@ -245,21 +246,29 @@ class PrivacyPreservingSVM:
         # (history, trace, audit log) inspectable.
         self.network_ = network
         self.profiler_ = profiler
-        self.hdfs_ = hdfs
+        self.hdfs_ = driver.hdfs
         self.driver_ = driver
         self.history_ = reducer.history
         self.health_monitor_ = health
         self.audit_log_ = audit
         try:
-            driver.run(_TRAINING_FILE, max_iterations=self.max_iter)
+            driver.run(TRAINING_FILE, max_iterations=self.max_iter)
         finally:
             health.finalize()
         return self
 
     def _health_hook(self, history: TrainingHistory, health: HealthMonitor) -> Any:
-        """Per-round driver callback streaming metrics into the monitor."""
+        """Per-round driver callback streaming metrics into the monitor.
+
+        Every signal is recorded on the monitor; ``on_health="warn"``
+        warns once per episode — when a detector starts firing, not on
+        every round it keeps firing — attributed to the line that called
+        :meth:`fit`.
+        """
+        firing: set[str] = set()
 
         def on_round(result: IterationResult) -> None:
+            nonlocal firing
             record = history.records[-1]
             signals = health.observe(
                 record.iteration,
@@ -268,12 +277,14 @@ class PrivacyPreservingSVM:
                 residual_available=record.residual_available,
                 bytes_delta=result.bytes_delta,
             )
-            if not signals or self.on_health == "ignore":
-                return
-            if self.on_health == "raise":
+            if signals and self.on_health == "raise":
                 raise HealthPolicyError(signals[0].message)
-            for signal in signals:
-                warnings.warn(signal.message, RuntimeWarning, stacklevel=2)
+            started = [s for s in signals if s.detector not in firing]
+            firing = {s.detector for s in signals}
+            if self.on_health == "warn":
+                for signal in started:
+                    # Frames: on_round <- driver.run <- fit <- the caller.
+                    warnings.warn(signal.message, RuntimeWarning, stacklevel=4)
 
         return on_round
 
@@ -329,49 +340,25 @@ class PrivacyPreservingSVM:
 
     def _prepare_horizontal(
         self, partitions: list[Dataset]
-    ) -> tuple[list[dict[str, Any]], HorizontalConsensusReducer, int]:
-        if len(partitions) < 2:
-            raise ValueError("need at least 2 partitions")
-        n_features = partitions[0].n_features
-        if any(p.n_features != n_features for p in partitions):
-            raise ValueError("all partitions must share the feature dimension")
-        n_learners = len(partitions)
-
-        common: dict[str, Any] = dict(
+    ) -> tuple[list[dict[str, Any]], HorizontalConsensusReducer]:
+        payloads = horizontal_payloads(
+            partitions,
             C=self.C,
             rho=self.rho,
-            n_learners=n_learners,
             qp_tol=self.qp_tol,
             qp_max_sweeps=self.qp_max_sweeps,
         )
+        n_consensus = partitions[0].n_features
         if self.kernel is not None:
             self.landmarks_ = sample_landmarks(
-                self.n_landmarks, n_features, scale=self.landmark_scale, seed=self.seed
+                self.n_landmarks, n_consensus, scale=self.landmark_scale, seed=self.seed
             )
-            common.update(kernel=self.kernel, landmarks=self.landmarks_)
+            payloads = [
+                dict(payload, kernel=self.kernel, landmarks=self.landmarks_)
+                for payload in payloads
+            ]
             n_consensus = self.n_landmarks
-        else:
-            n_consensus = n_features
-
-        payloads = [dict(common, X=p.X, y=p.y) for p in partitions]
-        reducer = HorizontalConsensusReducer(n_consensus, tol=self.tol)
-        return payloads, reducer, n_consensus
-
-    def _prepare_vertical(
-        self, partition: VerticalPartition
-    ) -> tuple[list[dict[str, Any]], VerticalReducerAdapter, int]:
-        self._partition = partition
-        payloads = [
-            dict(X=block, rho=self.rho, kernel=self.kernel) for block in partition.blocks
-        ]
-        reducer = VerticalReducerAdapter(
-            partition.y,
-            C=self.C,
-            rho=self.rho,
-            n_learners=partition.n_learners,
-            tol=self.tol,
-        )
-        return payloads, reducer, partition.n_samples
+        return payloads, HorizontalConsensusReducer(n_consensus, tol=self.tol)
 
     # -- prediction --------------------------------------------------------
 
@@ -401,14 +388,6 @@ class PrivacyPreservingSVM:
         for worker, block in zip(self._workers(), blocks):
             scores += worker.score_share(block)
         return scores + self._reducer.logic.bias
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted -1/+1 labels."""
-        return np.where(self.decision_function(X) >= 0, 1.0, -1.0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy on ``(X, y)``."""
-        return accuracy(check_labels(y, "y"), self.predict(X))
 
     # -- accounting ----------------------------------------------------------
 

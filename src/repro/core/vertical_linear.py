@@ -31,19 +31,18 @@ vertically partitioned deployments actually classify.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Any
 
 import numpy as np
 import scipy.linalg as sla
 
+from repro.core.mapreduce_svm import VerticalSVMMapper, run_in_process, vertical_setup
 from repro.core.partitioning import VerticalPartition
-from repro.core.results import IterationRecord, TrainingHistory
+from repro.core.results import TrainingHistory
+from repro.svm.kernels import Kernel
 from repro.svm.knapsack import solve_quadratic_knapsack
-from repro.svm.model import accuracy
+from repro.svm.model import SignClassifier
 from repro.utils.validation import check_labels, check_matrix, check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.health import HealthMonitor
 
 __all__ = ["VerticalConsensusReducer", "VerticalLinearSVM", "VerticalLinearWorker"]
 
@@ -79,18 +78,24 @@ class VerticalLinearWorker:
             raise ValueError(
                 f"correction has length {correction.shape[0]}, expected {self.n_samples}"
             )
-        target = self.share + correction
-        self.w = sla.cho_solve(self._factor, self.X.T @ target)
-        self.share = self.X @ self.w
+        self.share = self._solve(self.share + correction)
         return {"share": self.share}
 
     def score_share(self, X_test: np.ndarray) -> np.ndarray:
-        """This learner's contribution ``X_test w_m`` to test scores."""
+        """This learner's contribution to the scores of ``X_test``."""
         X_test = check_matrix(X_test, "X_test")
         if X_test.shape[1] != self.X.shape[1]:
             raise ValueError(
                 f"X_test has {X_test.shape[1]} columns, expected {self.X.shape[1]}"
             )
+        return self._score(X_test)
+
+    def _solve(self, target: np.ndarray) -> np.ndarray:
+        """Ridge-fit ``w_m`` to ``target``; return the share ``X_m w_m``."""
+        self.w = sla.cho_solve(self._factor, self.X.T @ target)
+        return self.X @ self.w
+
+    def _score(self, X_test: np.ndarray) -> np.ndarray:
         return X_test @ self.w
 
 
@@ -166,12 +171,19 @@ class VerticalConsensusReducer:
         return 0.5 * (hi + lo)
 
 
-class VerticalLinearSVM:
+class VerticalLinearSVM(SignClassifier):
     """In-process trainer for the linear vertical scheme.
 
     Parameters mirror :class:`~repro.core.horizontal_linear.HorizontalLinearSVM`;
-    fitting consumes a :class:`~repro.core.partitioning.VerticalPartition`.
+    fitting consumes a :class:`~repro.core.partitioning.VerticalPartition`
+    and runs the same ADMM engine as
+    :class:`~repro.core.trainer.PrivacyPreservingSVM` (see
+    :func:`~repro.core.mapreduce_svm.run_in_process`).
     """
+
+    #: Per-learner kernel; ``None`` gives linear column-block workers.
+    #: :class:`~repro.core.vertical_kernel.VerticalKernelSVM` sets one.
+    kernel: Kernel | None = None
 
     def __init__(
         self,
@@ -185,69 +197,34 @@ class VerticalLinearSVM:
         self.rho = check_positive(rho, "rho")
         self.max_iter = int(max_iter)
         self.tol = tol
-        self.workers_: list[VerticalLinearWorker] = []
+        self.workers_: list[Any] = []
         self.reducer_: VerticalConsensusReducer | None = None
         self.partition_: VerticalPartition | None = None
         self.history_ = TrainingHistory()
 
-    def _make_workers(self, partition: VerticalPartition) -> list[VerticalLinearWorker]:
-        return [VerticalLinearWorker(block, rho=self.rho) for block in partition.blocks]
-
     def fit(
-        self,
-        partition: VerticalPartition,
-        *,
-        eval_X=None,
-        eval_y=None,
-        health_monitor: "HealthMonitor | None" = None,
+        self, partition: VerticalPartition, *, eval_X=None, eval_y=None
     ) -> "VerticalLinearSVM":
-        """Train; ``eval_X/eval_y`` enable the Fig. 4(g) accuracy series."""
-        self.partition_ = partition
-        self.workers_ = self._make_workers(partition)
-        self.reducer_ = VerticalConsensusReducer(
-            partition.y, C=self.C, rho=self.rho, n_learners=partition.n_learners
-        )
-        eval_blocks = None
+        """Train; ``eval_X/eval_y`` enable the Fig. 4(g)/(h) accuracy series."""
+        evaluate = None
         if eval_X is not None:
             eval_blocks = partition.split_features(check_matrix(eval_X, "eval_X"))
             eval_y = check_labels(eval_y, "eval_y", length=eval_blocks[0].shape[0])
-
-        n = partition.n_samples
-        correction = np.zeros(n)
-        self.history_ = TrainingHistory()
-
-        for iteration in range(self.max_iter):
-            share_sum = np.zeros(n)
-            for worker in self.workers_:
-                share_sum += worker.step(correction)["share"]
-            correction, z_change, primal = self.reducer_.step(share_sum)
-
-            acc = float("nan")
-            if eval_blocks is not None:
-                scores = self._scores_from_blocks(eval_blocks)
-                acc = accuracy(eval_y, np.where(scores >= 0, 1.0, -1.0))
-            self.history_.append(
-                IterationRecord(
-                    iteration=iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    accuracy=acc,
-                )
-            )
-            if health_monitor is not None:
-                health_monitor.observe(
-                    iteration,
-                    z_change_sq=z_change,
-                    primal_residual=primal,
-                    residual_available=True,
-                )
-            if self.tol is not None and z_change <= self.tol:
-                break
+            evaluate = (eval_y, lambda workers: self._scores(workers, eval_blocks))
+        payloads, adapter = vertical_setup(
+            partition, C=self.C, rho=self.rho, kernel=self.kernel, tol=self.tol
+        )
+        self.partition_ = partition
+        self.reducer_ = adapter.logic
+        self.workers_ = run_in_process(
+            payloads, VerticalSVMMapper, adapter, max_iter=self.max_iter, evaluate=evaluate
+        )
+        self.history_ = adapter.history
         return self
 
-    def _scores_from_blocks(self, blocks: list[np.ndarray]) -> np.ndarray:
+    def _scores(self, workers: list[Any], blocks: list[np.ndarray]) -> np.ndarray:
         scores = np.zeros(blocks[0].shape[0])
-        for worker, block in zip(self.workers_, blocks):
+        for worker, block in zip(workers, blocks):
             scores += worker.score_share(block)
         return scores + self.reducer_.bias
 
@@ -256,12 +233,4 @@ class VerticalLinearSVM:
         if self.partition_ is None or self.reducer_ is None:
             raise RuntimeError("model must be fit before use")
         blocks = self.partition_.split_features(check_matrix(X, "X"))
-        return self._scores_from_blocks(blocks)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted -1/+1 labels."""
-        return np.where(self.decision_function(X) >= 0, 1.0, -1.0)
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Accuracy on ``(X, y)``."""
-        return accuracy(check_labels(y, "y"), self.predict(X))
+        return self._scores(self.workers_, blocks)

@@ -14,7 +14,7 @@ from repro.svm.kernels import Kernel, LinearKernel
 from repro.svm.smo import solve_svm_dual
 from repro.utils.validation import check_labels, check_matrix, check_positive
 
-__all__ = ["LinearSVC", "SVC", "accuracy"]
+__all__ = ["LinearSVC", "SVC", "SignClassifier", "accuracy"]
 
 
 def accuracy(y_true, y_pred) -> float:
@@ -24,6 +24,23 @@ def accuracy(y_true, y_pred) -> float:
     if y_true.shape != y_pred.shape:
         raise ValueError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
     return float(np.mean(y_true == y_pred))
+
+
+class SignClassifier:
+    """``predict``/``score`` for a model whose label is the sign of its
+    ``decision_function`` (ties go to +1)."""
+
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        """Signed scores; subclasses define them."""
+        raise NotImplementedError
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Predicted -1/+1 labels."""
+        return np.where(self.decision_function(X) >= 0, 1.0, -1.0)
+
+    def score(self, X: np.ndarray, y: np.ndarray) -> float:
+        """Accuracy on ``(X, y)``."""
+        return accuracy(check_labels(y, "y"), self.predict(X))
 
 
 class SVC:

@@ -14,6 +14,9 @@ import pytest
 
 from repro.core.partitioning import horizontal_partition, vertical_partition
 from repro.core.trainer import PrivacyPreservingSVM
+from repro.core.vertical_linear import VerticalLinearSVM
+from repro.data.splits import train_test_split
+from repro.data.synthetic import make_linear_task
 from repro.svm.kernels import RBFKernel
 
 
@@ -93,11 +96,28 @@ class TestDriverPlumbing:
             PrivacyPreservingSVM("horizontal", n_map_workers=0)
 
     def test_mappers_accessor_sorted_and_used_by_trainer(self, cancer_split):
+        # Ordered by block index, the order the map wave merges in — not
+        # by the task-key strings, where "learner-10/10" < "learner-2/2".
         model, _ = fit_variant("horizontal-linear", cancer_split, 1)
         driver = model.driver_
-        keys = sorted(driver._mappers)
+        keys = sorted(driver._mappers, key=lambda key: int(key.rsplit("/", 1)[1]))
         assert driver.mappers() == [driver._mappers[key] for key in keys]
         assert model._workers() == [m.worker for m in driver.mappers()]
+
+    def test_mappers_in_block_order_beyond_ten_learners(self):
+        # 30 columns over 12 learners gives blocks of 3 and 2 columns, so
+        # a mapper/block mismatch would fail loudly in decision_function.
+        train, test = train_test_split(make_linear_task(160, 30, seed=4), seed=0)
+        partition = vertical_partition(train, 12, seed=0)
+        model = PrivacyPreservingSVM(
+            "vertical", max_iter=5, secure=False, on_health="ignore"
+        ).fit(partition)
+        blocks = [m.worker.X for m in model.driver_.mappers()]
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, partition.blocks))
+        reference = VerticalLinearSVM(max_iter=5).fit(partition)
+        assert np.array_equal(
+            model.decision_function(test.X), reference.decision_function(test.X)
+        )
 
     def test_map_wave_span_reports_parallelism(self, cancer_split):
         model, _ = fit_variant("horizontal-linear", cancer_split, 4)

@@ -5,13 +5,20 @@ import pytest
 
 from repro.cluster.twister import MapperContext, ReducerContext
 from repro.cluster.network import Network
+from repro.core.horizontal_kernel import HorizontalKernelSVM
+from repro.core.horizontal_linear import HorizontalLinearSVM
+from repro.core.horizontal_logistic import HorizontalLogisticRegression
 from repro.core.mapreduce_svm import (
     HorizontalConsensusReducer,
     HorizontalSVMMapper,
+    RegularizedConsensusReducer,
     VerticalReducerAdapter,
     VerticalSVMMapper,
 )
 from repro.core.partitioning import horizontal_partition, vertical_partition
+from repro.core.trainer import PrivacyPreservingSVM
+from repro.core.vertical_kernel import VerticalKernelSVM
+from repro.core.vertical_linear import VerticalLinearSVM
 from repro.data.synthetic import make_blobs
 from repro.svm.kernels import RBFKernel
 
@@ -137,31 +144,66 @@ class TestVerticalAdapters:
         assert not converged
 
     def test_full_roundtrip_matches_trainer(self, cancer_split):
-        # Driving the adapters by hand reproduces the in-process trainer.
-        from repro.core.vertical_linear import VerticalLinearSVM
-
-        train, _ = cancer_split
+        # Every in-process trainer *is* the cluster path with plaintext
+        # sums, so both agree exactly, not within a tolerance: for the
+        # four paper variants against PrivacyPreservingSVM(secure=False),
+        # and for V-lin and logistic against the adapters driven by hand.
+        train, test = cancer_split
+        parts = horizontal_partition(train, 4, seed=0)
         partition = vertical_partition(train, 3, seed=0)
-        reference = VerticalLinearSVM(C=50.0, rho=100.0, max_iter=5).fit(partition)
+        kernel = RBFKernel(gamma=0.1)
+        system = dict(max_iter=6, secure=False, seed=0, on_health="ignore")
+        cases = {
+            "H-lin": (HorizontalLinearSVM(max_iter=6), ("horizontal", None), parts),
+            "H-ker": (
+                HorizontalKernelSVM(kernel, n_landmarks=8, max_iter=6),
+                ("horizontal", kernel),
+                parts,
+            ),
+            "V-lin": (VerticalLinearSVM(max_iter=6), ("vertical", None), partition),
+            "V-ker": (VerticalKernelSVM(kernel, max_iter=6), ("vertical", kernel), partition),
+        }
+        for name, (trainer, (scheme, k), data) in cases.items():
+            trainer.fit(data)
+            cluster = PrivacyPreservingSVM(scheme, k, n_landmarks=8, **system).fit(data)
+            assert np.array_equal(trainer.history_.z_changes, cluster.history_.z_changes), name
+            assert np.array_equal(
+                trainer.decision_function(test.X), cluster.decision_function(test.X)
+            ), name
 
-        network = Network()
-        network.register("n")
-        ctx = MapperContext(node_id="n", network=network)
-        rctx = ReducerContext(node_id="r", network=network)
-        mappers = []
-        for block in partition.blocks:
-            m = VerticalSVMMapper()
-            m.configure({"X": block, "rho": 100.0, "kernel": None}, ctx)
-            mappers.append(m)
+        vertical = cases["V-lin"][0]
         adapter = VerticalReducerAdapter(
             partition.y, C=50.0, rho=100.0, n_learners=partition.n_learners
         )
-        state = adapter.initial_state()
-        for _ in range(5):
-            share_sum = np.zeros(partition.n_samples)
-            for m in mappers:
-                share_sum += m.map(state, ctx)["share"]
-            state, _ = adapter.reduce({"share": share_sum}, len(mappers), rctx)
-        np.testing.assert_allclose(
-            adapter.history.z_changes, reference.history_.z_changes, rtol=1e-8
-        )
+        payloads = [{"X": block, "rho": 100.0, "kernel": None} for block in partition.blocks]
+        drive_by_hand(VerticalSVMMapper, payloads, adapter, rounds=6)
+        assert np.array_equal(adapter.history.z_changes, vertical.history_.z_changes)
+        assert np.array_equal(adapter.logic.zbar, vertical.reducer_.zbar)
+
+        logistic = HorizontalLogisticRegression(lam=0.5, rho=5.0, max_iter=6).fit(parts)
+        reducer = RegularizedConsensusReducer(train.n_features, lam=0.5, rho=5.0)
+        payloads = [{"X": p.X, "y": p.y, "rho": 5.0, "loss": "logistic"} for p in parts]
+        drive_by_hand(HorizontalSVMMapper, payloads, reducer, rounds=6)
+        assert np.array_equal(reducer.history.z_changes, logistic.history_.z_changes)
+        assert np.array_equal(reducer.z, logistic.consensus_weights_)
+        assert reducer.s == logistic.consensus_bias_
+
+
+def drive_by_hand(mapper_cls, payloads, reducer, *, rounds):
+    """The ADMM round without the driver: map, plain sum, reduce."""
+    network = Network()
+    network.register("n")
+    ctx = MapperContext(node_id="n", network=network)
+    rctx = ReducerContext(node_id="r", network=network)
+    mappers = []
+    for payload in payloads:
+        mapper = mapper_cls()
+        mapper.configure(payload, ctx)
+        mappers.append(mapper)
+    state = reducer.initial_state()
+    for _ in range(rounds):
+        sums = {}
+        for mapper in mappers:
+            for key, value in mapper.map(state, ctx).items():
+                sums[key] = sums.get(key, 0.0) + value
+        state, _ = reducer.reduce(sums, len(mappers), rctx)

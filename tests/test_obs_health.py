@@ -238,3 +238,24 @@ class TestTrainerPolicy:
         ).fit(parts)
         assert model.health_monitor_ is monitor
         assert monitor.metrics is model.profiler_
+
+
+def episodes(signals):
+    """Signals that start an episode: the detector was quiet the round before."""
+    fired = {(s.iteration, s.detector) for s in signals}
+    return [s for s in signals if (s.iteration - 1, s.detector) not in fired]
+
+
+class TestWarningEpisodes:
+    def test_one_warning_per_episode_at_the_fit_call(self, cancer_split):
+        # This plaintext run plateaus for three rounds (17-19), recovers,
+        # and plateaus again at round 25: four signals, two episodes.
+        parts = horizontal_partition(cancer_split[0], 4, seed=0)
+        model = PrivacyPreservingSVM("horizontal", max_iter=40, secure=False, seed=0)
+        with pytest.warns(RuntimeWarning) as caught:
+            model.fit(parts)
+        signals = model.health_monitor_.signals
+        started = episodes(signals)
+        assert len(signals) > len(started) >= 2
+        assert [str(w.message) for w in caught] == [s.message for s in started]
+        assert {w.filename for w in caught} == {__file__}
