@@ -16,7 +16,7 @@ from repro.crypto.secure_sum import SecureSummationProtocol
 from repro.data.synthetic import make_blobs
 from repro.svm.kernels import LinearKernel, RBFKernel
 from repro.svm.knapsack import solve_quadratic_knapsack
-from repro.svm.qp import solve_box_qp
+from repro.svm.qp import psd_factor, solve_box_qp
 from repro.svm.smo import solve_svm_dual
 
 
@@ -65,21 +65,21 @@ def test_paillier_homomorphic_add(benchmark, keypair):
 def test_box_qp_n100(benchmark):
     rng = np.random.default_rng(0)
     A = rng.normal(size=(100, 100))
-    H = A @ A.T / 100 + np.eye(100)
+    factor = psd_factor(A @ A.T / 100 + np.eye(100))
     d = rng.normal(size=100)
-    result = benchmark(solve_box_qp, H, d, 0.0, 50.0)
+    result = benchmark(solve_box_qp, factor, d, 0.0, 50.0)
     assert result.converged
 
 
 def test_box_qp_warm_start_n100(benchmark):
     rng = np.random.default_rng(0)
     A = rng.normal(size=(100, 100))
-    H = A @ A.T / 100 + np.eye(100)
+    factor = psd_factor(A @ A.T / 100 + np.eye(100))
     d = rng.normal(size=100)
-    x0 = solve_box_qp(H, d, 0.0, 50.0).x
+    x0 = solve_box_qp(factor, d, 0.0, 50.0).x
     # Perturb the linear term slightly — the ADMM-iteration pattern.
     d2 = d + 0.01 * rng.normal(size=100)
-    result = benchmark(solve_box_qp, H, d2, 0.0, 50.0, x0=x0)
+    result = benchmark(solve_box_qp, factor, d2, 0.0, 50.0, x0=x0)
     assert result.converged
 
 

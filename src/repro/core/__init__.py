@@ -24,6 +24,7 @@ from repro.core.horizontal_kernel import (
 )
 from repro.core.horizontal_linear import HorizontalLinearSVM, HorizontalLinearWorker
 from repro.core.horizontal_logistic import HorizontalLogisticRegression, LogisticWorker
+from repro.core.mapreduce_svm import LocalSolveError
 from repro.core.partitioning import (
     VerticalPartition,
     horizontal_partition,
@@ -49,6 +50,7 @@ __all__ = [
     "HorizontalLinearWorker",
     "HorizontalLogisticRegression",
     "IterationRecord",
+    "LocalSolveError",
     "LogisticWorker",
     "PrivacyPreservingSVM",
     "TrainingHistory",

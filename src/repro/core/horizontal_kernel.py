@@ -47,7 +47,7 @@ from repro.core.results import TrainingHistory
 from repro.data.dataset import Dataset
 from repro.svm.kernels import Kernel, RBFKernel
 from repro.svm.model import SignClassifier
-from repro.svm.qp import solve_box_qp
+from repro.svm.qp import BoxQPResult, psd_factor, solve_box_qp
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_matrix, check_positive
 
@@ -85,8 +85,9 @@ class HorizontalKernelWorker:
         The shared public landmark matrix ``X_g`` (``l x k``).
     kernel:
         Shared kernel function.
-    C, rho, n_learners:
-        As in the linear scheme.
+    C, rho, n_learners, qp_tol, qp_max_sweeps:
+        As in the linear scheme; ``last_qp`` likewise keeps the latest
+        local :class:`~repro.svm.qp.BoxQPResult`.
     """
 
     def __init__(
@@ -132,7 +133,8 @@ class HorizontalKernelWorker:
         self._g_s_g = M * (k_gg - M * rho_ * k_gg @ kg_inv_kgg)  # (l, l)
         self._kg_inv_kgm = kg_inv_kgm
         self._kg_inv_kgg = kg_inv_kgg
-        self._H = (np.outer(self.y, self.y)) * phi_s_phi + np.outer(self.y, self.y) / rho_
+        # The local QP only ever sees a factor of its constant Hessian.
+        self._factor = psd_factor(np.outer(self.y, self.y) * (phi_s_phi + 1.0 / rho_))
 
         self._lambda = np.zeros(n)
         self.gw = np.zeros(n_land)  # G w_m, the consensus image
@@ -141,6 +143,7 @@ class HorizontalKernelWorker:
         self.beta = 0.0
         self._u = np.zeros(n_land)
         self._started = False
+        self.last_qp: BoxQPResult | None = None
 
     @property
     def n_landmarks(self) -> int:
@@ -163,7 +166,7 @@ class HorizontalKernelWorker:
         self._u = u
         d = self.rho * (self.y * (self._phi_s_g @ u)) + t * self.y - 1.0
         result = solve_box_qp(
-            self._H,
+            self._factor,
             d,
             0.0,
             self.C,
@@ -171,6 +174,7 @@ class HorizontalKernelWorker:
             tol=self.qp_tol,
             max_sweeps=self.qp_max_sweeps,
         )
+        self.last_qp = result
         self._lambda = result.x
 
         ylam = self.y * self._lambda

@@ -24,9 +24,11 @@ consensus ``(z, s)``.  ADMM splits it into
 * **scaled dual updates on each learner** (paper eqs. (13c/f)):
   ``gamma_m += w_m - z``, ``beta_m += b_m - s``.
 
-The Hessian of the local dual is constant across iterations, so each
-worker factors it conceptually once and warm-starts its QP from the
-previous ``lambda`` — this is what makes per-iteration Map() cheap.
+The Hessian of the local dual is constant across iterations and, with
+``k`` features, has rank at most ``k + 1``.  Each worker factors it
+once — as ``[Y X / sqrt(a), y / sqrt(rho)]`` itself, never forming the
+n x n matrix, when ``k + 1 <= n`` — and warm-starts its QP from the
+previous ``lambda``; this is what makes per-iteration Map() cheap.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.core.mapreduce_svm import (
 from repro.core.results import TrainingHistory
 from repro.data.dataset import Dataset
 from repro.svm.model import SignClassifier
-from repro.svm.qp import solve_box_qp
+from repro.svm.qp import BoxQPResult, psd_factor, solve_box_qp
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_matrix, check_positive
 
@@ -57,7 +59,8 @@ class HorizontalLinearWorker:
     state (``w_m``, ``b_m``, the scaled duals ``gamma_m``, ``beta_m``,
     and the warm-start ``lambda``).  The only thing that ever leaves the
     worker is the return value of :meth:`step` — the masked summands of
-    the consensus average.
+    the consensus average.  ``last_qp`` keeps the latest local
+    :class:`~repro.svm.qp.BoxQPResult`.
 
     Parameters
     ----------
@@ -97,14 +100,24 @@ class HorizontalLinearWorker:
         n, k = self.X.shape
         self._a = 1.0 / self.n_learners + self.rho
         xy = self.X * self.y[:, None]  # rows are y_i * x_i
-        self._xy = xy
-        self._H = (xy @ xy.T) / self._a + np.outer(self.y, self.y) / self.rho
+        # The QP takes a factor of its Hessian (XY)(XY)'/a + yy'/rho: with
+        # k + 1 <= n the concatenation itself, else a factor of the n x n
+        # Gram, the smaller of the two.
+        if k + 1 <= n:
+            self._factor = np.column_stack(
+                [xy / np.sqrt(self._a), self.y / np.sqrt(self.rho)]
+            )
+        else:
+            self._factor = psd_factor(
+                (xy @ xy.T) / self._a + np.outer(self.y, self.y) / self.rho
+            )
         self._lambda = np.zeros(n)
         self.w = np.zeros(k)
         self.b = 0.0
         self.gamma = np.zeros(k)
         self.beta = 0.0
         self._started = False
+        self.last_qp: BoxQPResult | None = None
         self.last_output: dict[str, np.ndarray] | None = None
 
     @property
@@ -133,7 +146,7 @@ class HorizontalLinearWorker:
         t = s - self.beta
         d = (self.rho / self._a) * (self.y * (self.X @ u)) + t * self.y - 1.0
         result = solve_box_qp(
-            self._H,
+            self._factor,
             d,
             0.0,
             self.C,
@@ -141,6 +154,7 @@ class HorizontalLinearWorker:
             tol=self.qp_tol,
             max_sweeps=self.qp_max_sweeps,
         )
+        self.last_qp = result
         self._lambda = result.x
 
         self.w = (self.rho * u + (self._lambda * self.y) @ self.X) / self._a

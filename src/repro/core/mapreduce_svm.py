@@ -35,6 +35,7 @@ from repro.core.results import IterationRecord, TrainingHistory
 from repro.data.dataset import Dataset
 from repro.svm.kernels import Kernel
 from repro.svm.model import accuracy
+from repro.svm.qp import BoxQPResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.horizontal_kernel import HorizontalKernelWorker
@@ -47,6 +48,7 @@ __all__ = [
     "AdmmReducer",
     "HorizontalConsensusReducer",
     "HorizontalSVMMapper",
+    "LocalSolveError",
     "RegularizedConsensusReducer",
     "VerticalReducerAdapter",
     "VerticalSVMMapper",
@@ -58,6 +60,25 @@ __all__ = [
 
 #: HDFS name of the (private) training file every fit places.
 TRAINING_FILE = "training-data"
+
+
+class LocalSolveError(RuntimeError):
+    """A learner's local QP missed its tolerance within its iteration budget.
+
+    Raised by :class:`HorizontalSVMMapper` instead of sending a consensus
+    contribution built on an inexact solve.  ``node_id`` and
+    ``iteration`` name the learner and the round; ``result`` is the
+    solver's :class:`~repro.svm.qp.BoxQPResult`.
+    """
+
+    def __init__(self, node_id: str, iteration: int, result: BoxQPResult) -> None:
+        super().__init__(
+            f"local QP on learner {node_id} did not converge in round {iteration}: "
+            f"KKT residual {result.kkt_residual:.3g} after {result.iterations} iterations"
+        )
+        self.node_id = node_id
+        self.iteration = iteration
+        self.result = result
 
 
 class HorizontalSVMMapper(IterativeMapper):
@@ -109,7 +130,8 @@ class HorizontalSVMMapper(IterativeMapper):
         """One ADMM local step against the broadcast consensus ``(z, s)``.
 
         Emits an ``admm.local_step`` span tagged with the mapper's node
-        and iteration.
+        and iteration; raises :class:`LocalSolveError` if the SVM
+        worker's local QP did not converge.
         """
         if self.worker is None:
             raise RuntimeError("mapper was never configured")
@@ -121,6 +143,10 @@ class HorizontalSVMMapper(IterativeMapper):
         ):
             if not self.stale:
                 self.last_output = self.worker.step(broadcast["z"], broadcast["s"])
+                # The logistic worker solves no QP and has no ``last_qp``.
+                qp = getattr(self.worker, "last_qp", None)
+                if qp is not None and not qp.converged:
+                    raise LocalSolveError(context.node_id, context.iteration, qp)
             return self.last_output
 
 

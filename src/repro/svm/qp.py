@@ -1,27 +1,34 @@
-"""Box-constrained convex quadratic programming.
+"""Box-constrained convex quadratic programming on a factored Hessian.
 
 The ADMM local subproblems of the horizontally partitioned schemes reduce
 to duals of the form
 
-    minimize    (1/2) x' H x + d' x
+    minimize    (1/2) ||A' x||^2 + d' x      (i.e. H = A A')
     subject to  lo <= x <= hi   (elementwise)
 
-with ``H`` symmetric positive semidefinite (eq. (12) of the paper, after
-the bias penalty removes the equality constraint — see DESIGN.md §6).
+(eq. (12) of the paper, after the bias penalty removes the equality
+constraint — see DESIGN.md §6).  ``A`` is ``n x r``; for the linear
+scheme ``r`` is the feature count plus one, usually far below ``n``, so
+``H`` is rank deficient and is never formed.
 
-We solve this with cyclic exact coordinate descent, safeguarded by a
-projected-gradient optimality check: for box-constrained convex QPs,
-coordinate descent with exact per-coordinate minimization converges to a
-global minimizer, each coordinate update is a closed-form clip, and the
-gradient can be maintained incrementally in O(n) per update.
+We solve this with an exact primal active-set method.  Coordinates held
+at a bound form the working set; the rest are free.  Each iteration
+minimises the objective over the face of the free set with one SVD of
+the free rows ``A_F`` (or, when ``A_F`` has full row rank and is well
+conditioned, one Cholesky factorisation of ``A_F A_F'``):
 
-On ill-conditioned problems (nearly-parallel rows of ``H``, e.g. near-
-duplicate training points) plain coordinate descent can stall far from
-the tolerance: its linear rate degrades with the condition number of the
-free-set block.  When the sweep loop stops making progress, a
-projected-Newton polish takes over — solve the Newton system on the
-free coordinates, backtrack along the projected path — which converges
-in a handful of steps regardless of conditioning.
+* the part of the free gradient ``g_F`` outside ``range(A_F)`` is a
+  direction of zero curvature along which the objective falls linearly
+  — if it is not negligible we move along it;
+* otherwise the Newton step ``p_F = A_F s`` with ``(A_F' A_F) s = -c``
+  (``A_F c`` the part of ``g_F`` inside the range) lands on the face
+  minimiser, whatever the conditioning.
+
+The step follows the projected path ``clip(x + t p)`` to its first
+minimum, so one iteration can pin many coordinates at once.  At a face
+minimiser every bound whose multiplier has the wrong sign is released
+(only the worst one, if releasing them all made no progress).  The
+method stops on the projected-gradient KKT test.
 """
 
 from __future__ import annotations
@@ -29,10 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from repro.utils.validation import check_matrix, check_vector
 
-__all__ = ["BoxQPResult", "solve_box_qp"]
+__all__ = ["BoxQPResult", "psd_factor", "solve_box_qp"]
+
+#: Cholesky diagonals spread wider than this mark H_FF as ill-conditioned
+#: (its condition number is at least the squared spread, 1e8); the face
+#: step then takes the SVD, which resolves near-null directions.
+_CHOLESKY_RATIO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -44,12 +57,12 @@ class BoxQPResult:
     x:
         The minimizer found.
     iterations:
-        Number of full coordinate sweeps performed.
+        Number of active-set iterations performed.
     kkt_residual:
         Infinity norm of the projected gradient at ``x`` (0 at exact
         optimality).
     converged:
-        Whether ``kkt_residual <= tol`` was reached within the sweep
+        Whether ``kkt_residual <= tol`` was reached within the iteration
         budget.
     objective:
         Final objective value ``(1/2) x'Hx + d'x``.
@@ -62,6 +75,16 @@ class BoxQPResult:
     objective: float
 
 
+def _projected_gradient(
+    grad: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """The gradient, zeroed where it presses a coordinate into its bound."""
+    residual = grad.copy()
+    residual[(x <= lo) & (grad > 0)] = 0.0
+    residual[(x >= hi) & (grad < 0)] = 0.0
+    return residual
+
+
 def projected_gradient_residual(
     grad: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> float:
@@ -70,70 +93,111 @@ def projected_gradient_residual(
     A coordinate contributes its gradient magnitude unless it sits at the
     bound the gradient is pushing it towards.
     """
-    residual = grad.copy()
-    residual[(x <= lo) & (grad > 0)] = 0.0
-    residual[(x >= hi) & (grad < 0)] = 0.0
-    return float(np.max(np.abs(residual))) if residual.size else 0.0
+    return float(np.max(np.abs(_projected_gradient(grad, x, lo, hi)), initial=0.0))
 
 
-def _projected_newton_polish(
-    H: np.ndarray,
+def psd_factor(H) -> np.ndarray:
+    """A factor ``A`` with ``A A' = H`` for a symmetric PSD matrix ``H``.
+
+    The Cholesky factor when ``H`` is positive definite; otherwise the
+    eigenvectors scaled by the square roots of the eigenvalues that are
+    not zero to working precision, so ``A`` has as many columns as
+    ``H`` has rank.
+    """
+    H = check_matrix(H, "H", allow_empty=True)
+    if H.shape[0] != H.shape[1]:
+        raise ValueError(f"H must be square, got {H.shape}")
+    try:
+        return np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        eigenvalues, vectors = np.linalg.eigh(H)
+        keep = eigenvalues > eigenvalues[-1] * H.shape[0] * np.finfo(float).eps
+        return vectors[:, keep] * np.sqrt(eigenvalues[keep])
+
+
+def _face_direction(A_f: np.ndarray, g_f: np.ndarray, tol: float) -> np.ndarray:
+    """Descent direction on the face: zero curvature if there is one, else Newton."""
+    if A_f.shape[1] == 0:
+        return -g_f
+    if A_f.shape[0] <= A_f.shape[1]:
+        # A_F may have full row rank; then H_FF = A_F A_F' is positive
+        # definite, range(A_F) is everything, and the Newton step is one
+        # Cholesky solve — several times cheaper than the SVD below when
+        # A_F is wide.
+        try:
+            factor = sla.cho_factor(A_f @ A_f.T, lower=True)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            diag = np.abs(np.diag(factor[0]))
+            if diag.min() > _CHOLESKY_RATIO * diag.max():
+                return -sla.cho_solve(factor, g_f)
+    U, sigma, _ = np.linalg.svd(A_f, full_matrices=False)
+    rank = int(np.sum(sigma > sigma[0] * max(A_f.shape) * np.finfo(float).eps))
+    U, sigma = U[:, :rank], sigma[:rank]
+    coef = U.T @ g_f
+    remainder = g_f - U @ coef
+    # Project twice: one pass leaves rounding error of the size of g_f
+    # inside the range, enough to spoil a small remainder's descent.
+    remainder -= U @ (U.T @ remainder)
+    if np.max(np.abs(remainder), initial=0.0) > 0.5 * tol:
+        return -remainder
+    return -U @ (coef / sigma**2)
+
+
+def _projected_search(
+    A: np.ndarray,
     d: np.ndarray,
     x: np.ndarray,
+    v: np.ndarray,
     grad: np.ndarray,
+    p: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    tol: float,
-    max_steps: int = 25,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Newton steps on the free coordinates, backtracking along the box.
+) -> tuple[float, np.ndarray]:
+    """First minimum of the objective along ``clip(x + t p, lo, hi)``, t >= 0.
 
-    Rescues coordinate-descent stalls: with the active set fixed, one
-    Newton solve on the free block lands on its unconstrained minimizer
-    exactly, independent of conditioning.  Steps are accepted only when
-    they decrease the objective or the projected-gradient residual, so
-    the polish can never move away from the solution; it returns the
-    best iterate reached.
+    The path is piecewise linear: a coordinate stops where it reaches its
+    bound.  Returns the step and the coordinates pinned on the way.
     """
-    n = x.shape[0]
-    residual = projected_gradient_residual(grad, x, lo, hi)
-    for _ in range(max_steps):
-        if residual <= tol:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        limit = np.where(p > 0, (hi - x) / p, np.where(p < 0, (lo - x) / p, np.inf))
+    order = np.argsort(limit, kind="stable")
+    order = order[np.isfinite(limit[order])]
+    p = p.copy()
+    q = A.T @ p
+    slope = float(grad @ p)
+    v = v.copy()
+    t = 0.0
+    pinned = 0
+    for i in order:
+        if slope >= 0.0:
             break
-        active = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
-        free = ~active
-        if not np.any(free):
+        curvature = float(q @ q)
+        gap = limit[i] - t
+        if curvature > 0.0 and -slope < gap * curvature:
+            t -= slope / curvature
             break
-        H_ff = H[np.ix_(free, free)]
-        g_f = grad[free]
-        try:
-            p_f = np.linalg.solve(H_ff, -g_f)
-        except np.linalg.LinAlgError:
-            p_f = np.linalg.lstsq(H_ff, -g_f, rcond=None)[0]
-        if not np.all(np.isfinite(p_f)):
-            break
-        p = np.zeros(n)
-        p[free] = p_f
-        objective = float(0.5 * x @ (grad - d) + d @ x)
-        step = 1.0
-        improved = False
-        for _ in range(30):
-            x_new = np.clip(x + step * p, lo, hi)
-            grad_new = H @ x_new + d
-            objective_new = float(0.5 * x_new @ (grad_new - d) + d @ x_new)
-            residual_new = projected_gradient_residual(grad_new, x_new, lo, hi)
-            if objective_new < objective or residual_new < residual:
-                x, grad, residual = x_new, grad_new, residual_new
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return x, grad, residual
+        t = limit[i]
+        v += gap * q
+        slope += gap * curvature - (A[i] @ v + d[i]) * p[i]
+        q -= A[i] * p[i]
+        p[i] = 0.0
+        pinned += 1
+    else:
+        # Every bounded coordinate is pinned; the rest move without limit.
+        if slope < 0.0 and np.any(p):
+            curvature = float(q @ q)
+            # Curvature at the rounding level of A'p is no curvature.
+            noise = len(p) * np.finfo(float).eps * np.linalg.norm(A) * np.linalg.norm(p)
+            if curvature <= noise**2:
+                raise ValueError("box QP is unbounded below")
+            t -= slope / curvature
+    return t, order[:pinned]
 
 
 def solve_box_qp(
-    H,
+    A,
     d,
     lower=0.0,
     upper=np.inf,
@@ -142,108 +206,78 @@ def solve_box_qp(
     tol: float = 1e-8,
     max_sweeps: int = 2000,
 ) -> BoxQPResult:
-    """Minimize ``(1/2) x'Hx + d'x`` subject to ``lower <= x <= upper``.
+    """Minimize ``(1/2)||A'x||^2 + d'x`` subject to ``lower <= x <= upper``.
 
     Parameters
     ----------
-    H:
-        Symmetric PSD matrix of shape ``(n, n)``.
+    A:
+        Factor of the PSD Hessian ``H = A A'``, shape ``(n, r)`` for any
+        ``r`` (see :func:`psd_factor` when only ``H`` is at hand).
     d:
         Linear term of length ``n``.
     lower, upper:
         Box bounds; scalars broadcast to all coordinates.
     x0:
         Optional warm start (projected onto the box).  Warm starting with
-        the previous ADMM iterate cuts sweeps dramatically in the
+        the previous ADMM iterate cuts iterations dramatically in the
         distributed trainers.
     tol:
         Convergence threshold on the projected-gradient infinity norm.
     max_sweeps:
-        Budget of full coordinate sweeps.
+        Budget of active-set iterations.
 
     Returns
     -------
     BoxQPResult
     """
-    H = check_matrix(H, "H")
-    n = H.shape[0]
-    if H.shape[1] != n:
-        raise ValueError(f"H must be square, got {H.shape}")
+    A = check_matrix(A, "A", allow_empty=True)
+    n = A.shape[0]
     d = check_vector(d, "d", length=n)
     lo = np.broadcast_to(np.asarray(lower, dtype=float), (n,)).copy()
     hi = np.broadcast_to(np.asarray(upper, dtype=float), (n,)).copy()
     if np.any(lo > hi):
         raise ValueError("lower bound exceeds upper bound on some coordinate")
 
-    if x0 is None:
-        x = np.clip(np.zeros(n), lo, hi)
-    else:
-        x = np.clip(check_vector(x0, "x0", length=n), lo, hi)
-
-    grad = H @ x + d
-    diag = np.diag(H).copy()
-    # A placeholder divisor where the diagonal is non-positive; those
-    # coordinates take the degenerate branch, never the quotient.
-    diag_safe = np.where(diag > 0.0, diag, 1.0)
-    # Fortran order makes the per-update column axpy contiguous; the
-    # values are identical to C-order columns, so results don't change.
-    H_cols = np.asfortranarray(H)
+    x = np.clip(np.zeros(n) if x0 is None else check_vector(x0, "x0", length=n), lo, hi)
+    v = A.T @ x
+    grad = A @ v + d
+    # Working set: coordinates at a bound the gradient presses them into.
+    fixed = ((x <= lo) & (grad >= 0)) | ((x >= hi) & (grad <= 0))
+    iterations = 0
+    single = False
     residual = projected_gradient_residual(grad, x, lo, hi)
-    sweeps = 0
-    stalled = 0
 
-    while residual > tol and sweeps < max_sweeps:
-        # One sweep in the exact cyclic order 0..n-1, vectorized: with
-        # the current gradient, every coordinate's closed-form update is
-        # computed in one block; a coordinate whose update is a no-op
-        # (delta == 0 — pinned at a bound, or already at its coordinate
-        # minimum) would not have changed ``grad`` or ``x`` in the
-        # scalar loop either, so jumping straight to the first moving
-        # coordinate is bit-identical.  Only that coordinate's update is
-        # applied (the later candidates are stale once ``grad`` moves),
-        # then the scan resumes after it.  Warm-started ADMM sweeps pin
-        # most coordinates, so sweeps collapse to a few block scans
-        # instead of n Python iterations.
-        start = 0
-        while start < n:
-            tail = slice(start, n)
-            g_tail = grad[tail]
-            candidate = np.clip(
-                x[tail] - g_tail / diag_safe[tail], lo[tail], hi[tail]
-            )
-            # Degenerate coordinates: objective is linear in x_i, so the
-            # minimizer sits at a bound (or stays put if g_i = 0).
-            degenerate = np.where(
-                g_tail > 0.0, lo[tail], np.where(g_tail < 0.0, hi[tail], x[tail])
-            )
-            new_x = np.where(diag[tail] > 0.0, candidate, degenerate)
-            deltas = new_x - x[tail]
-            moved = np.nonzero(deltas)[0]
-            if moved.size == 0:
-                break
-            first = int(moved[0])
-            i = start + first
-            delta = deltas[first]
-            grad += delta * H_cols[:, i]
-            x[i] = new_x[first]
-            start = i + 1
-        sweeps += 1
-        new_residual = projected_gradient_residual(grad, x, lo, hi)
-        # Stall detection: ill-conditioned free-set blocks degrade the
-        # coordinate-descent rate arbitrarily close to 1; hand over to
-        # the Newton polish instead of burning the sweep budget.
-        stalled = stalled + 1 if new_residual >= residual * (1.0 - 1e-3) else 0
-        residual = new_residual
-        if stalled >= 10:
-            break
+    while residual > tol and iterations < max_sweeps:
+        iterations += 1
+        released = not np.any(np.abs(grad[~fixed]) > tol)
+        if released:
+            # Face minimised: release the bounds with wrong-sign multipliers.
+            wrong = np.abs(_projected_gradient(grad, x, lo, hi))
+            wrong[~fixed] = 0.0
+            if single:
+                fixed[np.argmax(wrong)] = False
+            else:
+                fixed &= wrong <= tol
+        free = np.flatnonzero(~fixed)
+        p = np.zeros(n)
+        p[free] = _face_direction(A[free], grad[free], tol)
+        t, pinned = _projected_search(A, d, x, v, grad, p, lo, hi)
+        if t == 0.0 and pinned.size == 0:
+            break  # no descent left to working precision
+        x = np.clip(x + t * p, lo, hi)
+        x[pinned] = np.where(p[pinned] > 0, hi[pinned], lo[pinned])
+        fixed[pinned] = True
+        # Releasing every violator can push some straight back out; then
+        # release one at a time until a step makes progress.
+        single = t == 0.0 and (released or single)
+        v = A.T @ x
+        grad = A @ v + d
+        residual = projected_gradient_residual(grad, x, lo, hi)
 
-    if residual > tol:
-        x, grad, residual = _projected_newton_polish(H, d, x, grad, lo, hi, tol)
-
-    objective = float(0.5 * x @ (grad - d) + d @ x)
+    objective = float(0.5 * v @ v + d @ x)
     return BoxQPResult(
         x=x,
-        iterations=sweeps,
+        iterations=iterations,
         kkt_residual=residual,
         converged=residual <= tol,
         objective=objective,

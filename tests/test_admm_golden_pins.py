@@ -11,6 +11,12 @@ numbers, not the code path: any refactor of the round loop must leave
 them unchanged.  A deliberate numerical change re-pins them with
 ``PYTHONPATH=src python tests/test_admm_golden_pins.py`` and says so in
 CHANGES.md.
+
+``fixtures/admm_parent_solver_consensus.json`` keeps the raw final
+consensus of the cases that solve box QPs, as the coordinate-descent
+solver left it before the active-set solver replaced it.  The two
+solvers reach the same optima, so the consensus must agree to 1e-6
+relative.
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ from repro.data.splits import train_test_split
 from repro.data.synthetic import make_cancer_like
 from repro.svm.kernels import RBFKernel
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "fixtures" / "admm_golden.json"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+GOLDEN_PATH = FIXTURES / "admm_golden.json"
+PARENT_SOLVER_PATH = FIXTURES / "admm_parent_solver_consensus.json"
 
 
 def digest(*arrays) -> str:
@@ -132,11 +140,21 @@ def observe(name: str) -> dict:
 
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+PARENT_SOLVER = json.loads(PARENT_SOLVER_PATH.read_text())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trajectory_matches_golden_pin(name):
     assert observe(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_SOLVER))
+def test_consensus_matches_coordinate_descent_solver(name):
+    train, test = split()
+    _, consensus = CASES[name](train, test)
+    new = np.concatenate([np.asarray(part, dtype=float).ravel() for part in consensus])
+    old = np.array(PARENT_SOLVER[name])
+    assert np.linalg.norm(new - old) <= 1e-6 * np.linalg.norm(old)
 
 
 if __name__ == "__main__":  # pragma: no cover - deliberate re-pin only

@@ -11,6 +11,7 @@ from repro.core.horizontal_logistic import HorizontalLogisticRegression
 from repro.core.mapreduce_svm import (
     HorizontalConsensusReducer,
     HorizontalSVMMapper,
+    LocalSolveError,
     RegularizedConsensusReducer,
     VerticalReducerAdapter,
     VerticalSVMMapper,
@@ -69,6 +70,33 @@ class TestHorizontalMapper:
     def test_map_before_configure_raises(self, context):
         with pytest.raises(RuntimeError, match="configured"):
             HorizontalSVMMapper().map({"z": np.zeros(2), "s": 0.0}, context)
+
+    def test_worker_keeps_its_last_qp_result(self, context):
+        mapper = HorizontalSVMMapper()
+        mapper.configure(horizontal_payload(), context)
+        mapper.map({"z": np.zeros(3), "s": 0.0}, context)
+        assert mapper.worker.last_qp.converged
+        assert mapper.worker.last_qp.kkt_residual <= 1e-8
+
+
+class TestLocalSolveError:
+    @pytest.mark.parametrize(
+        "trainer",
+        [
+            lambda: PrivacyPreservingSVM(max_iter=3, qp_max_sweeps=1),
+            lambda: HorizontalLinearSVM(max_iter=3, qp_max_sweeps=1),
+            lambda: HorizontalKernelSVM(RBFKernel(gamma=0.5), max_iter=3, qp_max_sweeps=1),
+        ],
+        ids=["system", "hlin", "hker"],
+    )
+    def test_unconverged_cold_start_names_learner_and_round(self, trainer):
+        parts = horizontal_partition(make_blobs(90, 3, seed=0), 3, seed=0)
+        with pytest.raises(LocalSolveError, match="learner-0 .* round 0") as caught:
+            trainer().fit(parts)
+        assert caught.value.node_id == "learner-0"
+        assert caught.value.iteration == 0
+        assert not caught.value.result.converged
+        assert caught.value.result.iterations == 1
 
 
 class TestHorizontalReducer:

@@ -2,18 +2,22 @@
 
 Unit-level coverage of every :class:`~repro.obs.health.HealthMonitor`
 detector on hand-built series, the verdict window/priority rules, the
-counter/event emission contract, and the system-level behavior: a
-deliberately divergent ADMM configuration (huge ``C``, tiny ``rho``)
-must end with a ``diverging`` verdict in the fitted model *and* in its
-persisted run record, and ``on_health`` must select between warning,
-raising :class:`~repro.obs.health.HealthPolicyError`, and silence.
+counter/event emission contract, and the system-level behavior: a run
+that deliberately diverges (one learner's contribution is scaled up
+geometrically by an injected fault) must end with a ``diverging``
+verdict in the fitted model *and* in its persisted run record, and
+``on_health`` must select between warning, raising
+:class:`~repro.obs.health.HealthPolicyError`, and silence.
 """
 
+import itertools
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.cluster.profiling import Profiler
+from repro.core.horizontal_linear import HorizontalLinearWorker
 from repro.core.partitioning import horizontal_partition
 from repro.core.trainer import PrivacyPreservingSVM
 from repro.data.splits import train_test_split
@@ -160,16 +164,27 @@ class TestVerdict:
 
 
 @pytest.fixture()
-def divergent_setup():
-    """Partitions plus an ADMM config that provably diverges.
+def divergent_setup(monkeypatch):
+    """Partitions plus a trainer config for a run that genuinely diverges.
 
-    Huge slack penalty with a tiny consensus penalty makes the local
-    solutions overshoot the consensus every round — the residual series
-    grows geometrically within a handful of iterations.
+    A fault injected into learner 0's local step multiplies its
+    consensus contribution by 4 more every round, so the consensus —
+    and the residual series with it — grows geometrically.
     """
     train, _ = train_test_split(make_blobs(120, seed=0), seed=0)
     parts = horizontal_partition(train, 3, seed=0)
-    config = dict(C=1e4, rho=1e-3, max_iter=6, seed=0)
+    honest_step = HorizontalLinearWorker.step
+    rounds = itertools.count()
+
+    def faulty_step(worker, z, s):
+        output = honest_step(worker, z, s)
+        if not np.array_equal(worker.X, parts[0].X):
+            return output
+        gain = 4.0 ** next(rounds)
+        return {key: gain * value for key, value in output.items()}
+
+    monkeypatch.setattr(HorizontalLinearWorker, "step", faulty_step)
+    config = dict(max_iter=6, seed=0)
     return parts, config
 
 

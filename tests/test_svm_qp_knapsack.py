@@ -3,59 +3,65 @@
 import numpy as np
 import pytest
 
+from repro.data.synthetic import make_higgs_like
 from repro.svm.knapsack import solve_quadratic_knapsack
-from repro.svm.qp import projected_gradient_residual, solve_box_qp
+from repro.svm.qp import projected_gradient_residual, psd_factor, solve_box_qp
 
 
-def random_psd(rng, n, rank=None):
+def ridge_factor(rng, n, ridge, rank=None):
+    """A factor of ``G G' + ridge I`` for a random ``n x rank`` ``G``."""
     rank = rank if rank is not None else n
-    A = rng.normal(size=(n, rank))
-    return A @ A.T
+    return np.hstack([rng.normal(size=(n, rank)), np.sqrt(ridge) * np.eye(n)])
+
+
+def objective(A, d, x):
+    return 0.5 * np.sum((A.T @ x) ** 2) + d @ x
 
 
 class TestSolveBoxQP:
     def test_unconstrained_interior_solution(self, rng):
         # Strongly convex with minimizer well inside the box.
-        H = random_psd(rng, 5) + 5.0 * np.eye(5)
+        A = ridge_factor(rng, 5, 5.0)
+        H = A @ A.T
         x_star = rng.uniform(0.3, 0.7, size=5)
         d = -H @ x_star
-        result = solve_box_qp(H, d, 0.0, 1.0)
+        result = solve_box_qp(A, d, 0.0, 1.0)
         assert result.converged
         np.testing.assert_allclose(result.x, x_star, atol=1e-6)
 
     def test_active_bounds(self):
         # min (x-2)^2 on [0, 1] -> x = 1; min (x+3)^2 -> x = 0.
-        H = np.eye(2) * 2.0
+        A = np.eye(2) * np.sqrt(2.0)
         d = np.array([-4.0, 6.0])
-        result = solve_box_qp(H, d, 0.0, 1.0)
+        result = solve_box_qp(A, d, 0.0, 1.0)
         np.testing.assert_allclose(result.x, [1.0, 0.0], atol=1e-10)
 
     def test_kkt_residual_reported(self, rng):
-        H = random_psd(rng, 8) + np.eye(8)
+        A = ridge_factor(rng, 8, 1.0)
         d = rng.normal(size=8)
-        result = solve_box_qp(H, d, 0.0, 10.0, tol=1e-10)
+        result = solve_box_qp(A, d, 0.0, 10.0, tol=1e-10)
         assert result.kkt_residual <= 1e-10
 
     def test_warm_start_converges_faster(self, rng):
-        H = random_psd(rng, 30) + 0.1 * np.eye(30)
+        A = ridge_factor(rng, 30, 0.1)
         d = rng.normal(size=30)
-        cold = solve_box_qp(H, d, 0.0, 5.0)
-        warm = solve_box_qp(H, d, 0.0, 5.0, x0=cold.x)
+        cold = solve_box_qp(A, d, 0.0, 5.0)
+        warm = solve_box_qp(A, d, 0.0, 5.0, x0=cold.x)
         assert warm.iterations <= cold.iterations
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-6)
 
     def test_degenerate_zero_diagonal_linear_coordinate(self):
         # Coordinate with H_ii = 0: objective linear, pushes to a bound.
-        H = np.zeros((2, 2))
-        H[0, 0] = 2.0
+        A = np.array([[np.sqrt(2.0)], [0.0]])
         d = np.array([0.0, -3.0])  # second coordinate wants upper bound
-        result = solve_box_qp(H, d, 0.0, 4.0)
+        result = solve_box_qp(A, d, 0.0, 4.0)
         assert result.x[1] == pytest.approx(4.0)
 
     def test_matches_brute_force_on_small_grid(self, rng):
-        H = random_psd(rng, 2) + np.eye(2)
+        A = ridge_factor(rng, 2, 1.0)
+        H = A @ A.T
         d = rng.normal(size=2)
-        result = solve_box_qp(H, d, 0.0, 1.0, tol=1e-12)
+        result = solve_box_qp(A, d, 0.0, 1.0, tol=1e-12)
         grid = np.linspace(0, 1, 201)
         best = min(
             0.5 * np.array([a, b]) @ H @ np.array([a, b]) + d @ np.array([a, b])
@@ -64,23 +70,102 @@ class TestSolveBoxQP:
         )
         assert result.objective <= best + 1e-6
 
-    def test_rejects_nonsquare(self, rng):
-        with pytest.raises(ValueError, match="square"):
-            solve_box_qp(rng.normal(size=(3, 2)), np.zeros(3))
+    def test_rejects_factor_and_linear_term_length_mismatch(self, rng):
+        with pytest.raises(ValueError, match="length"):
+            solve_box_qp(rng.normal(size=(3, 2)), np.zeros(2))
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError, match="lower bound exceeds"):
             solve_box_qp(np.eye(2), np.zeros(2), 1.0, 0.0)
 
     def test_per_coordinate_bounds(self):
-        H = np.eye(2) * 2.0
+        A = np.eye(2) * np.sqrt(2.0)
         d = np.array([-10.0, -10.0])
-        result = solve_box_qp(H, d, np.array([0.0, 0.0]), np.array([1.0, 3.0]))
+        result = solve_box_qp(A, d, np.array([0.0, 0.0]), np.array([1.0, 3.0]))
         np.testing.assert_allclose(result.x, [1.0, 3.0])
 
     def test_x0_projected_into_box(self):
         result = solve_box_qp(np.eye(2), np.zeros(2), 0.0, 1.0, x0=[5.0, -5.0])
         assert np.all(result.x >= 0.0) and np.all(result.x <= 1.0)
+
+    def test_rank_deficient_factor_with_duplicate_rows(self, rng):
+        # Rows 0/1 and 4/5 coincide, so the problem only sees their sums:
+        # it equals the problem with each pair merged into one row whose
+        # box is twice as wide.
+        A = rng.normal(size=(8, 3))
+        A[1], A[5] = A[0], A[4]
+        d = rng.normal(size=8)
+        d[1], d[5] = d[0], d[4]
+        result = solve_box_qp(A, d, 0.0, 2.0, tol=1e-10)
+        assert result.converged and result.kkt_residual <= 1e-10
+        keep = [0, 2, 3, 4, 6, 7]
+        merged = solve_box_qp(
+            A[keep], d[keep], 0.0, np.where(np.isin(keep, [0, 4]), 4.0, 2.0), tol=1e-10
+        )
+        assert result.objective == pytest.approx(merged.objective, rel=1e-10, abs=1e-10)
+
+    def test_factor_wider_than_tall(self, rng):
+        # 5 x 12: H = A A' is full rank; the square Cholesky factor of
+        # the same H must reach the same optimum.
+        A = rng.normal(size=(5, 12))
+        d = 3.0 * rng.normal(size=5)
+        wide = solve_box_qp(A, d, 0.0, 1.0, tol=1e-10)
+        square = solve_box_qp(psd_factor(A @ A.T), d, 0.0, 1.0, tol=1e-10)
+        assert wide.converged and square.converged
+        np.testing.assert_allclose(wide.x, square.x, atol=1e-8)
+        assert wide.objective == pytest.approx(objective(A, d, wide.x), rel=1e-12)
+
+    def test_zero_rows(self):
+        result = solve_box_qp(np.zeros((0, 3)), np.zeros(0), 0.0, 1.0)
+        assert result.x.shape == (0,)
+        assert result.converged and result.iterations == 0
+        assert result.kkt_residual == 0.0 and result.objective == 0.0
+
+    def test_optimum_with_every_coordinate_at_a_bound(self, rng):
+        A = rng.normal(size=(6, 2))
+        d = np.array([50.0, -50.0, 50.0, -50.0, 50.0, -50.0])
+        result = solve_box_qp(A, d, 0.0, 1.0)
+        assert result.converged
+        np.testing.assert_array_equal(result.x, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+
+    def test_unbounded_below_raises(self):
+        # x = (t, t) has zero curvature and slope -2 with no upper bound.
+        with pytest.raises(ValueError, match="unbounded"):
+            solve_box_qp(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
+
+    def test_higgs_like_local_dual_cold_and_warm(self):
+        # The H-lin local dual of one learner: 250 rows, a 250 x 29
+        # factor [Y X / sqrt(a), y / sqrt(rho)], C = 50 (8 learners).
+        data = make_higgs_like(250, seed=0)
+        a, rho = 1.0 / 8 + 100.0, 100.0
+        A = np.column_stack([data.X * data.y[:, None] / np.sqrt(a), data.y / np.sqrt(rho)])
+        cold = solve_box_qp(A, -np.ones(250), 0.0, 50.0)
+        assert cold.converged and cold.kkt_residual <= 1e-8
+        # Round 1: d moves with the broadcast consensus (z, s).
+        z = np.random.default_rng(1).normal(scale=0.1, size=data.X.shape[1])
+        d = (rho / a) * data.y * (data.X @ z) + 0.05 * data.y - 1.0
+        warm = solve_box_qp(A, d, 0.0, 50.0, x0=cold.x)
+        assert warm.converged and warm.kkt_residual <= 1e-8
+        assert warm.iterations < cold.iterations
+
+
+class TestPsdFactor:
+    def test_positive_definite_gives_cholesky(self, rng):
+        G = rng.normal(size=(6, 6))
+        H = G @ G.T + np.eye(6)
+        A = psd_factor(H)
+        np.testing.assert_allclose(A, np.tril(A))
+        np.testing.assert_allclose(A @ A.T, H, rtol=1e-10, atol=1e-10)
+
+    def test_singular_drops_the_null_space(self, rng):
+        G = rng.normal(size=(7, 3))
+        A = psd_factor(G @ G.T)
+        assert A.shape == (7, 3)
+        np.testing.assert_allclose(A @ A.T, G @ G.T, atol=1e-10)
+
+    def test_rejects_nonsquare(self, rng):
+        with pytest.raises(ValueError, match="square"):
+            psd_factor(rng.normal(size=(3, 2)))
 
 
 class TestProjectedGradientResidual:
