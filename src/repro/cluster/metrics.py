@@ -42,6 +42,9 @@ class MetricRegistry:
 
     def __init__(self) -> None:
         self._counters: Counter[str] = Counter()
+        # Names that already passed :meth:`_validate_name`; hot counters
+        # skip the character scan after their first increment.
+        self._valid_names: set[str] = set()
 
     @staticmethod
     def _validate_name(name: str) -> str:
@@ -65,7 +68,8 @@ class MetricRegistry:
         docstring); ``amount`` must be non-negative (counters are
         monotonic).
         """
-        self._validate_name(name)
+        if not (isinstance(name, str) and name in self._valid_names):
+            self._valid_names.add(self._validate_name(name))
         if amount < 0:
             raise ValueError(f"counters are monotonic; got negative amount {amount}")
         self._counters[name] += amount

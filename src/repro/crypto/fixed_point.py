@@ -26,31 +26,27 @@ Two backends implement the same arithmetic:
   for power-of-two moduli, residues are fixed-width little-endian
   multi-limb ``uint64`` numpy arrays of shape ``(n, L)`` (``L = 2`` for
   the default 128-bit group) with carry-propagating vectorized
-  ``add``/``subtract``, batched ``encode``/``decode``, and masks drawn
-  as one ``rng.integers`` block per vector instead of ``n × n_words``
-  scalar Python calls.  Odd (prime) moduli fall back to object-dtype
-  arrays of Python ints, which keeps the arithmetic exact where a
-  fixed limb count cannot.
+  ``add``/``subtract`` and batched ``encode``/``decode``.  Odd (prime)
+  moduli fall back to object-dtype arrays of Python ints, which keeps
+  the arithmetic exact where a fixed limb count cannot.
 
 Both backends are *bit-identical*: every array op reproduces the exact
-integers (and, for ``random_vector``, the exact RNG stream consumption)
-of the legacy path, so protocol transcripts and training trajectories
-do not depend on which backend ran — the property tests in
-``tests/test_crypto_fixed_point_vectorized.py`` pin this.  The blocked
-mask draw depends on the word-consumption pattern of numpy's PCG64
-``Generator.integers``; a one-time runtime probe verifies the pattern
-and silently falls back to the per-element draw if a future numpy
-changes it (see ``docs/PERFORMANCE.md``).
+integers of the legacy path, so protocol transcripts and training
+trajectories do not depend on which backend ran — the property tests in
+``tests/test_crypto_fixed_point_vectorized.py`` pin this.  Masks come
+from one raw ``rng.integers(0, 2**64, size=(n, W), dtype=uint64)`` draw
+per vector, shared by both backends: the words are the limbs for
+power-of-two moduli, and for odd moduli each row of ``W`` words (one
+more than the modulus needs) is reduced mod ``q``, with bias below
+``2^-64`` (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence, Union, overload
+from typing import Iterator, Sequence, Union, overload
 
 import numpy as np
 from numpy.typing import ArrayLike
-
-from repro.utils.rng import as_rng
 
 __all__ = ["FixedPointCodec", "ResidueVector"]
 
@@ -60,10 +56,6 @@ _FULL_MASK = np.uint64(2**64 - 1)
 
 #: Residue-vector operand accepted by the polymorphic codec ops.
 ResidueLike = Union["ResidueVector", Sequence[int]]
-
-
-class _BlockedDrawUnsupported(Exception):
-    """The installed numpy does not expose the expected PCG64 layout."""
 
 
 class ResidueVector:
@@ -107,14 +99,7 @@ class ResidueVector:
         """The residues as arbitrary-precision Python ints."""
         if self.limbs.dtype == object:
             return [int(v) for v in self.limbs]
-        acc: list[int] | None = None
-        for i in range(self.limbs.shape[1] - 1, -1, -1):
-            column = self.limbs[:, i]
-            if acc is None:
-                acc = [int(v) for v in column]
-            else:
-                acc = [(a << _WORD_BITS) | int(v) for a, v in zip(acc, column)]
-        return acc if acc is not None else [0] * len(self)
+        return _limbs_to_ints(self.limbs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResidueVector):
@@ -127,122 +112,6 @@ class ResidueVector:
             f"modulus_bits={self.modulus.bit_length()}, "
             f"dtype={self.limbs.dtype})"
         )
-
-
-# -- blocked RNG draws ----------------------------------------------------
-#
-# The legacy mask draw composes each 64-bit word from two Generator
-# calls: ``integers(0, 2**63)`` (one raw PCG64 word, Lemire-reduced to
-# ``raw >> 1``) and ``integers(0, 2)`` (one *half* of a raw word via the
-# bit generator's buffered 32-bit path, bit = half >> 31).  The blocked
-# draw reproduces that stream exactly: it plans which raw words the
-# scalar sequence would consume, pulls them in one
-# ``integers(0, 2**64, size=...)`` call (which bypasses the 32-bit
-# buffer), recombines, and patches the buffer state to what the scalar
-# sequence would have left behind.
-
-_BLOCKED_OK: bool | None = None
-
-
-def _draw_words(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` 64-bit words exactly as the legacy pair draws would.
-
-    Returns a ``uint64`` array where element ``i`` equals
-    ``(int(rng.integers(0, 2**63)) << 1) | int(rng.integers(0, 2))`` of
-    the ``i``-th legacy pair, and leaves ``rng`` in the exact state the
-    legacy sequence would have left it in (including the bit
-    generator's buffered 32-bit half-word).
-
-    Raises :class:`_BlockedDrawUnsupported` when the bit generator does
-    not expose the PCG64 buffer layout this reconstruction relies on.
-    """
-    if count <= 0:
-        return np.empty(0, dtype=np.uint64)
-    bit_generator = rng.bit_generator
-    state: Any = bit_generator.state
-    if not isinstance(state, dict) or "has_uint32" not in state or "uinteger" not in state:
-        raise _BlockedDrawUnsupported("bit generator exposes no 32-bit buffer")
-    buffered = int(state["has_uint32"])  # 1 if a high half-word is pending
-    entry_half = int(state["uinteger"])
-
-    index = np.arange(count, dtype=np.int64)
-    # Number of fresh bit-words consumed by draws before draw ``i``: the
-    # bit draws alternate fresh-word / buffered-half starting from the
-    # entry buffer state.
-    fresh_before = (index + (1 - buffered)) // 2
-    value_pos = index + fresh_before
-    fresh = ((index + buffered) % 2) == 0
-    n_fresh = int(np.count_nonzero(fresh))
-    total_words = count + n_fresh
-
-    words = rng.integers(0, _WORD_MOD, size=total_words, dtype=np.uint64)
-    raw_values = words[value_pos]
-
-    halves = np.empty(count, dtype=np.uint64)
-    bit_pos = value_pos + 1  # only meaningful where ``fresh``
-    halves[fresh] = words[bit_pos[fresh]] & np.uint64(0xFFFFFFFF)
-    from_buffer = ~fresh
-    if buffered and count > 0:
-        from_buffer = from_buffer.copy()
-        from_buffer[0] = False
-        halves[0] = np.uint64(entry_half)
-    if np.any(from_buffer):
-        previous = index[from_buffer] - 1
-        halves[from_buffer] = words[bit_pos[previous]] >> np.uint64(32)
-    bits = (halves >> np.uint64(31)) & np.uint64(1)
-
-    # ``integers(0, 2**63)`` keeps the top 63 bits of the raw word, so
-    # the legacy composition (value << 1) | bit is (raw & ~1) | bit.
-    out = (raw_values & ~np.uint64(1)) | bits
-
-    leftover = buffered + 2 * n_fresh - count
-    exit_state = bit_generator.state
-    if leftover == 1 and n_fresh:
-        exit_state["has_uint32"] = 1
-        exit_state["uinteger"] = int(words[int(bit_pos[fresh][-1])] >> np.uint64(32))
-    elif leftover == 1:
-        exit_state["has_uint32"] = 1
-        exit_state["uinteger"] = entry_half
-    else:
-        exit_state["has_uint32"] = 0
-        exit_state["uinteger"] = 0
-    bit_generator.state = exit_state
-    return out
-
-
-def _probe_blocked_draws() -> bool:
-    """One-time check that :func:`_draw_words` reproduces the stream."""
-    try:
-        for warmup_bits in (0, 1):
-            reference = as_rng(0x5EED_B10C)
-            blocked = as_rng(0x5EED_B10C)
-            for _ in range(warmup_bits):  # enter with a buffered half-word
-                if int(reference.integers(0, 2)) != int(blocked.integers(0, 2)):
-                    return False
-            expected = [
-                (int(reference.integers(0, 2**63)) << 1) | int(reference.integers(0, 2))
-                for _ in range(7)
-            ]
-            got = _draw_words(blocked, 7)
-            if [int(v) for v in got] != expected:
-                return False
-            # The streams must stay aligned *after* the block, which
-            # checks the exit buffer patch.
-            for _ in range(3):
-                if int(reference.integers(0, 2**63)) != int(blocked.integers(0, 2**63)):
-                    return False
-                if int(reference.integers(0, 2)) != int(blocked.integers(0, 2)):
-                    return False
-    except Exception:
-        return False
-    return True
-
-
-def _blocked_draws_supported() -> bool:
-    global _BLOCKED_OK
-    if _BLOCKED_OK is None:
-        _BLOCKED_OK = _probe_blocked_draws()
-    return _BLOCKED_OK
 
 
 class FixedPointCodec:
@@ -309,10 +178,14 @@ class FixedPointCodec:
                 _FULL_MASK if top_bits == _WORD_BITS else np.uint64((1 << top_bits) - 1)
             )
             self._sign_shift = np.uint64(top_bits - 1)
+            self._mask_words = self._n_limbs
         else:
             self._n_limbs = 0
             self._top_mask = _FULL_MASK
             self._sign_shift = np.uint64(0)
+            # One word beyond the modulus keeps the bias of the
+            # reduction mod q below 2^-64.
+            self._mask_words = (self.modulus_bits + _WORD_BITS - 1) // _WORD_BITS + 1
 
     # -- scalars (Python ints: vectors of arbitrary-precision residues) --
 
@@ -399,18 +272,26 @@ class FixedPointCodec:
 
         Bit-identical to the legacy path: the scale is a power of two,
         so ``x * scale`` and the half-to-even rounding are exact float
-        operations, and the limb decomposition slices the (at most
-        53-significant-bit) integral float exactly.
+        operations.  When every rounded value fits ``int64`` its
+        two's-complement bits, sign-extended across the limbs, are the
+        residue mod ``2^bits``; larger magnitudes, which only the
+        overflow bound of big moduli admits, are sliced into limbs by
+        exact ``divmod`` of the integral float.
         """
         arr = self._check_encodable(values)
         scaled = np.rint(arr * float(self.scale))
         if not self._use_limbs():
             ints = [int(v) % self.modulus for v in scaled]
             return ResidueVector(np.array(ints, dtype=object), self.modulus)
-        negative = scaled < 0.0
-        magnitude = np.abs(scaled)
         limbs = np.empty((arr.shape[0], self._n_limbs), dtype=np.uint64)
-        remainder = magnitude
+        if np.all(np.abs(scaled) < 2.0**63):
+            signed = scaled.astype(np.int64)
+            limbs[:, 0] = signed.view(np.uint64)
+            limbs[:, 1:] = (signed >> 63).view(np.uint64)[:, None]
+            limbs[:, -1] &= self._top_mask
+            return ResidueVector(limbs, self.modulus)
+        negative = scaled < 0.0
+        remainder = np.abs(scaled)
         for i in range(self._n_limbs):
             remainder, low = np.divmod(remainder, 2.0**_WORD_BITS)
             limbs[:, i] = _float_to_uint64(low)
@@ -421,47 +302,25 @@ class FixedPointCodec:
         return ResidueVector(limbs, self.modulus)
 
     def random_vector_array(self, n: int, rng: np.random.Generator) -> ResidueVector:
-        """Batched :meth:`random_vector` consuming the identical RNG stream.
+        """Batched :meth:`random_vector`: ``n`` uniform residues mod ``q``.
 
-        With the vectorized backend all ``n * n_words`` word draws come
-        from one ``rng.integers`` block (falling back to the per-element
-        loop when the runtime probe rejects the numpy internals); the
-        legacy backend always loops.  Either way the residues and the
-        generator's exit state match the original scalar draw exactly.
+        One ``rng.integers`` call draws an ``(n, W)`` block of raw
+        64-bit words.  For power-of-two moduli the words are the limbs
+        (``W = L``, top limb masked); for odd moduli each row is
+        composed little-endian into one integer of ``W`` words and
+        reduced mod ``q``.  Both backends make the same draw, so they
+        return identical residues and leave ``rng`` in the same state.
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        # One extra word keeps the modular-reduction bias below 2^-64
-        # for odd moduli.
-        n_words = (self.modulus_bits + _WORD_BITS - 1) // _WORD_BITS + 1
-        if n == 0:
-            return self.zeros_array(0)
-        words: np.ndarray | None = None
-        if self.vectorized and _blocked_draws_supported():
-            try:
-                words = _draw_words(rng, n * n_words)
-            except _BlockedDrawUnsupported:
-                words = None
-        if words is None:
-            return self._from_ints(self._random_ints(n, n_words, rng))
+        words = rng.integers(
+            0, _WORD_MOD, size=(n, self._mask_words), dtype=np.uint64
+        )
         if self._use_limbs():
-            # The composed integer's low ``64 * L`` bits live in the
-            # *last* drawn words (the scalar loop shifts earlier words
-            # up), so limb i is column ``n_words - 1 - i``.
-            grid = words.reshape(n, n_words)
-            limbs = np.empty((n, self._n_limbs), dtype=np.uint64)
-            for i in range(self._n_limbs):
-                limbs[:, i] = grid[:, n_words - 1 - i]
-            limbs[:, -1] &= self._top_mask
-            return ResidueVector(limbs, self.modulus)
-        grid = words.reshape(n, n_words)
-        ints: list[int] = []
-        for row in grid:
-            value = 0
-            for word in row:
-                value = (value << _WORD_BITS) | int(word)
-            ints.append(value % self.modulus)
-        return ResidueVector(np.array(ints, dtype=object), self.modulus)
+            words[:, -1] &= self._top_mask
+            return ResidueVector(words, self.modulus)
+        residues = [v % self.modulus for v in _limbs_to_ints(words)]
+        return ResidueVector(np.array(residues, dtype=object), self.modulus)
 
     # -- internals -------------------------------------------------------
 
@@ -481,18 +340,6 @@ class FixedPointCodec:
                 f"increase modulus_bits or reduce fractional_bits"
             )
         return arr
-
-    def _random_ints(
-        self, n: int, n_words: int, rng: np.random.Generator
-    ) -> list[int]:
-        """The original per-element, per-word scalar draw."""
-        out: list[int] = []
-        for _ in range(n):
-            value = 0
-            for _ in range(n_words):
-                value = (value << 64) | int(rng.integers(0, 2**63)) << 1 | int(rng.integers(0, 2))
-            out.append(value % self.modulus)
-        return out
 
     def _from_ints(self, residues: Sequence[int]) -> ResidueVector:
         """Pack already-reduced Python-int residues for this backend."""
@@ -619,6 +466,15 @@ class FixedPointCodec:
             f"modulus_bits={self.modulus_bits}, max_terms={self.max_terms}, "
             f"vectorized={self.vectorized})"
         )
+
+
+def _limbs_to_ints(limbs: np.ndarray) -> list[int]:
+    """Compose each row of little-endian ``uint64`` limbs into a Python int."""
+    columns = limbs.T.tolist()
+    acc: list[int] = columns[-1]
+    for column in reversed(columns[:-1]):
+        acc = [(a << _WORD_BITS) | v for a, v in zip(acc, column)]
+    return acc
 
 
 def _float_to_uint64(values: np.ndarray) -> np.ndarray:

@@ -257,6 +257,20 @@ class TestMetricRegistryValidation:
         with pytest.raises(ValueError):
             MetricRegistry().increment(bad)
 
+    @pytest.mark.parametrize("bad", [None, ["a"], "", "a b", "a..b"])
+    def test_bad_name_raises_on_every_call(self, bad):
+        # Valid names are remembered after their first check; a bad one
+        # must never be, so repeating it raises the same error again.
+        registry = MetricRegistry()
+        registry.increment("a.b")
+        errors = []
+        for _ in range(2):
+            with pytest.raises((TypeError, ValueError)) as info:
+                registry.increment(bad)
+            errors.append((info.type, str(info.value)))
+        assert errors[0] == errors[1]
+        assert registry.as_dict() == {"a.b": 1.0}
+
     def test_single_segment_names_allowed(self):
         registry = MetricRegistry()
         registry.increment("a")

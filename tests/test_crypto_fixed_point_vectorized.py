@@ -1,45 +1,56 @@
 """Equivalence tests: vectorized residue backend vs the legacy list path.
 
-The vectorized backend (packed ``uint64`` limb arrays, blocked RNG
-draws) must be *bit-identical* to the original per-element Python-int
-implementation — same residues, same decoded floats, same RNG stream
-consumption — for both the default power-of-two modulus and an odd
-prime field.  These tests pin that contract; a regression here means
-protocol transcripts or training trajectories silently changed.
+The vectorized backend (packed ``uint64`` limb arrays) must be
+*bit-identical* to the per-element Python-int implementation — same
+residues, same decoded floats — for both the default power-of-two
+modulus and an odd prime field, and both backends must draw the same
+masks from the same generator and leave it in the same state.  The
+mask stream itself is pinned by SHA-256 digests in
+``fixtures/mask_stream_digests.json``; a deliberate change to it
+re-pins them with ``PYTHONPATH=src python
+tests/test_crypto_fixed_point_vectorized.py`` and says so in
+CHANGES.md.  A regression here means protocol transcripts or training
+trajectories silently changed.
 """
 
+import hashlib
+import json
+import pathlib
 import pickle
+import random
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from repro.crypto.fixed_point import (
-    FixedPointCodec,
-    ResidueVector,
-    _blocked_draws_supported,
-    _draw_words,
-)
+from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secret_sharing import MERSENNE_PRIME_127
 
-CODEC_CONFIGS = [
-    pytest.param({}, id="pow2-128-default"),
-    pytest.param({"modulus_bits": 64, "fractional_bits": 20}, id="pow2-64"),
-    pytest.param({"modulus_bits": 96, "fractional_bits": 30}, id="pow2-96"),
-    pytest.param({"modulus": 1 << 128}, id="explicit-pow2-128"),
-    pytest.param({"modulus": MERSENNE_PRIME_127}, id="mersenne-prime-127"),
-]
+CODEC_KWARGS = {
+    "pow2-128-default": {},
+    "pow2-64": {"modulus_bits": 64, "fractional_bits": 20},
+    "pow2-96": {"modulus_bits": 96, "fractional_bits": 30},
+    "explicit-pow2-128": {"modulus": 1 << 128},
+    "mersenne-prime-127": {"modulus": MERSENNE_PRIME_127},
+}
+CODEC_CONFIGS = [pytest.param(kwargs, id=name) for name, kwargs in CODEC_KWARGS.items()]
+
+DIGESTS_PATH = pathlib.Path(__file__).parent / "fixtures" / "mask_stream_digests.json"
 
 
-def legacy_random_vector(codec: FixedPointCodec, n: int, rng) -> list[int]:
-    """The original scalar draw, verbatim from the seed implementation."""
-    n_words = (codec.modulus_bits + 63) // 64 + 1
-    out = []
-    for _ in range(n):
-        value = 0
-        for _ in range(n_words):
-            value = (value << 64) | int(rng.integers(0, 2**63)) << 1 | int(rng.integers(0, 2))
-        out.append(value % codec.modulus)
+def full_range_residues(codec: FixedPointCodec, n: int, seed: int) -> list[int]:
+    """Uniform residues in ``[0, q)`` drawn independently of the codec."""
+    draw = random.Random(seed)
+    return [draw.randrange(codec.modulus) for _ in range(n)]
+
+
+def mask_stream_digests(codec: FixedPointCodec) -> dict[str, str]:
+    """SHA-256 of two consecutive mask draws per seed (lengths 64 and 3)."""
+    out = {}
+    for seed in (0, 1):
+        rng = default_rng(seed)
+        residues = [codec.random_vector_array(n, rng).to_ints() for n in (64, 3)]
+        out[str(seed)] = hashlib.sha256(json.dumps(residues).encode()).hexdigest()
     return out
 
 
@@ -59,6 +70,37 @@ class TestEncodeDecodeEquivalence:
         assert codec.encode_array(values).to_ints() == expected
         assert legacy.encode_array(values).to_ints() == expected
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"modulus_bits": 64, "fractional_bits": 20, "max_terms": 1}, id="pow2-64"),
+            pytest.param({"modulus_bits": 96, "fractional_bits": 30, "max_terms": 1}, id="pow2-96"),
+            pytest.param({}, id="pow2-128-default"),
+            pytest.param({"modulus": MERSENNE_PRIME_127, "max_terms": 4}, id="mersenne-prime-127"),
+        ],
+    )
+    def test_encode_array_matches_scalar_across_int64_cut(self, kwargs):
+        # Scaled magnitudes below 2^63 take the int64 path, the rest the
+        # exact divmod path; a batch takes the int64 path only when all
+        # of its values fit.
+        codec = FixedPointCodec(**kwargs)
+        legacy = FixedPointCodec(**kwargs, vectorized=False)
+        scale = float(codec.scale)
+        magnitudes = [2.0**63 - 2.0**10, 2.0**63, 2.0**70]
+        halves = [0.5, 1.5, 2.5, 3.5, 2.0**40 + 0.5]
+        values = [m / scale for m in magnitudes] + [h / scale for h in halves]
+        values = [sign * v for v in values for sign in (1.0, -1.0)] + [-0.0, 0.0]
+        encodable = [v for v in values if abs(v) < codec.max_magnitude]
+        # Every modulus reaches the cut from below; the wider ones cross it.
+        assert magnitudes[0] / scale in encodable
+        if codec.modulus_bits > 64:
+            assert magnitudes[-1] / scale in encodable
+        small = [v for v in encodable if abs(v) * scale < 2.0**63]
+        for batch in [[v] for v in encodable] + [encodable, small]:
+            expected = codec.encode(batch)
+            assert codec.encode_array(batch).to_ints() == expected, batch
+            assert legacy.encode_array(batch).to_ints() == expected, batch
+
     def test_decode_matches_legacy_on_small_residues(self, codec_pair, rng):
         codec, legacy = codec_pair
         values = rng.normal(size=129) * min(1.0, codec.max_magnitude / 10)
@@ -71,7 +113,7 @@ class TestEncodeDecodeEquivalence:
         # Masked shares are uniform over [0, q): the packed decode must
         # take its exact big-int path, not the single-limb float path.
         codec, _ = codec_pair
-        residues = legacy_random_vector(codec, 64, default_rng(5))
+        residues = full_range_residues(codec, 64, 5)
         packed = codec._from_ints(residues)
         assert np.array_equal(codec.decode(packed), codec.decode(residues))
 
@@ -84,8 +126,8 @@ class TestEncodeDecodeEquivalence:
 class TestArithmeticEquivalence:
     def test_add_subtract_match_legacy(self, codec_pair):
         codec, legacy = codec_pair
-        a = legacy_random_vector(codec, 257, default_rng(1))
-        b = legacy_random_vector(codec, 257, default_rng(2))
+        a = full_range_residues(codec, 257, 1)
+        b = full_range_residues(codec, 257, 2)
         add_expected = codec.add(a, b)
         sub_expected = codec.subtract(a, b)
         for c in (codec, legacy):
@@ -105,7 +147,7 @@ class TestArithmeticEquivalence:
 
     def test_mixed_operand_types(self, codec_pair):
         codec, _ = codec_pair
-        ints = legacy_random_vector(codec, 9, default_rng(4))
+        ints = full_range_residues(codec, 9, 4)
         packed = codec._from_ints(ints)
         assert codec.add(packed, ints).to_ints() == codec.add(ints, ints)
         assert codec.subtract(ints, packed).to_ints() == [0] * 9
@@ -117,34 +159,42 @@ class TestArithmeticEquivalence:
 
 
 class TestRandomVectorStream:
-    def test_blocked_draw_matches_scalar_stream(self, codec_pair):
+    def test_backends_agree_over_consecutive_draws(self, codec_pair):
         codec, legacy = codec_pair
-        reference, vec_rng, leg_rng = default_rng(7), default_rng(7), default_rng(7)
-        # Consecutive calls exercise the bit generator's buffered
-        # half-word carrying over between blocks.
-        for _ in range(3):
-            expected = legacy_random_vector(codec, 33, reference)
-            assert codec.random_vector_array(33, vec_rng).to_ints() == expected
-            assert legacy.random_vector_array(33, leg_rng).to_ints() == expected
+        vec_rng, leg_rng = default_rng(7), default_rng(7)
+        for n in (33, 1, 17):
+            packed = codec.random_vector_array(n, vec_rng)
+            assert packed.to_ints() == legacy.random_vector_array(n, leg_rng).to_ints()
         # The generators must leave the stream in the identical state.
-        tail = int(reference.integers(0, 2**63))
-        assert int(vec_rng.integers(0, 2**63)) == tail
-        assert int(leg_rng.integers(0, 2**63)) == tail
+        assert int(vec_rng.integers(0, 2**63)) == int(leg_rng.integers(0, 2**63))
 
-    def test_blocked_draw_after_interleaved_scalar_draws(self, codec_pair):
-        # Entering a block with a buffered half-word pending (odd number
-        # of prior bit draws) must still reproduce the scalar stream.
-        codec, _ = codec_pair
-        reference, blocked = default_rng(11), default_rng(11)
-        assert int(reference.integers(0, 2)) == int(blocked.integers(0, 2))
-        expected = legacy_random_vector(codec, 10, reference)
-        assert codec.random_vector_array(10, blocked).to_ints() == expected
+    def test_random_vector_is_array_to_ints(self, codec_pair):
+        codec, legacy = codec_pair
+        for c in (codec, legacy):
+            assert c.random_vector(17, default_rng(13)) == (
+                c.random_vector_array(17, default_rng(13)).to_ints()
+            )
 
-    def test_legacy_list_api_unchanged(self, codec_pair):
+    def test_low_and_high_bit_of_every_limb_balanced(self, codec_pair):
+        # Each tested bit of a uniform residue is set with probability
+        # 1/2 (within 2^-126 for the Mersenne prime), so over n = 4096
+        # draws its count is Binomial(4096, 1/2) with sd 32; six sd
+        # (|count - 2048| <= 192) leaves a false-alarm chance below 1e-8.
         codec, _ = codec_pair
-        assert codec.random_vector(17, default_rng(13)) == legacy_random_vector(
-            codec, 17, default_rng(13)
-        )
+        n, bound = 4096, 192
+        residues = codec.random_vector_array(n, default_rng(41)).to_ints()
+        bits = (codec.modulus - 1).bit_length()
+        for low in range(0, bits, 64):
+            for bit in (low, min(low + 63, bits - 1)):
+                count = sum((r >> bit) & 1 for r in residues)
+                assert abs(count - n // 2) <= bound, (bit, count)
+
+    @pytest.mark.parametrize("name", sorted(CODEC_KWARGS))
+    def test_mask_stream_matches_golden_digest(self, name):
+        digests = json.loads(DIGESTS_PATH.read_text())
+        for vectorized in (True, False):
+            codec = FixedPointCodec(**CODEC_KWARGS[name], vectorized=vectorized)
+            assert mask_stream_digests(codec) == digests[name]
 
     def test_values_in_range(self, codec_pair):
         codec, _ = codec_pair
@@ -157,26 +207,11 @@ class TestRandomVectorStream:
         with pytest.raises(ValueError, match="non-negative"):
             codec.random_vector_array(-1, default_rng(0))
 
-    def test_draw_words_probe_passes_on_this_numpy(self):
-        # The blocked draw is verified against this numpy at import; if
-        # the probe ever fails the codec silently falls back, but we
-        # want to *know* (the perf win disappears).
-        assert _blocked_draws_supported()
-
-    def test_draw_words_composes_scalar_pairs(self):
-        reference, blocked = default_rng(23), default_rng(23)
-        expected = [
-            (int(reference.integers(0, 2**63)) << 1) | int(reference.integers(0, 2))
-            for _ in range(9)
-        ]
-        assert [int(w) for w in _draw_words(blocked, 9)] == expected
-        assert int(reference.integers(0, 2**63)) == int(blocked.integers(0, 2**63))
-
 
 class TestResidueVectorContainer:
     def test_iter_getitem_len_eq(self, codec_pair):
         codec, legacy = codec_pair
-        ints = legacy_random_vector(codec, 12, default_rng(29))
+        ints = full_range_residues(codec, 12, 29)
         packed = codec._from_ints(ints)
         other = legacy._from_ints(ints)
         assert len(packed) == 12
@@ -193,3 +228,14 @@ class TestResidueVectorContainer:
         assert isinstance(restored, ResidueVector)
         assert restored == vec
         assert codec.subtract(restored, vec).to_ints() == [0] * 20
+
+
+if __name__ == "__main__":  # pragma: no cover - deliberate re-pin only
+    DIGESTS_PATH.write_text(
+        json.dumps(
+            {name: mask_stream_digests(FixedPointCodec(**kwargs)) for name, kwargs in CODEC_KWARGS.items()},
+            indent=1,
+            sort_keys=True,
+        )
+        + "\n"
+    )
