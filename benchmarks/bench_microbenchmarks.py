@@ -3,7 +3,7 @@ timing loops, unlike the one-shot experiment regenerations).
 
 These quantify the per-operation costs behind Table S2: one secure-sum
 round, one Paillier encryption, one local dual QP solve, one SMO solve,
-one knapsack solve.
+one knapsack solve (also at the vertical Reducer's 32000-row scale).
 """
 
 import numpy as np
@@ -91,6 +91,19 @@ def test_knapsack_n1000(benchmark):
     c = rng.choice([-1.0, 1.0], size=n)
     result = benchmark(solve_quadratic_knapsack, a, d, c, 0.0, 0.0, 50.0)
     assert result.constraint_residual < 1e-6
+
+
+def test_knapsack_reducer_n32000(benchmark):
+    # The vertical Reducer's shape at perfbench scale: a = M/rho, c = y,
+    # box [0, C], d = M y cbar - 1 with M = 4, rho = 100, C = 50.
+    rng = np.random.default_rng(0)
+    n = 32_000
+    y = rng.choice([-1.0, 1.0], size=n)
+    cbar = rng.normal(0.0, 0.3, size=n) + 0.2 * y
+    d = 4.0 * y * cbar - 1.0
+    result = benchmark(solve_quadratic_knapsack, np.full(n, 0.04), d, y, 0.0, 0.0, 50.0)
+    assert result.iterations <= 10
+    assert result.constraint_residual < 1e-9
 
 
 def test_smo_linear_n200(benchmark):

@@ -24,7 +24,7 @@ from repro.core.horizontal_kernel import (
 )
 from repro.core.horizontal_linear import HorizontalLinearSVM, HorizontalLinearWorker
 from repro.core.horizontal_logistic import HorizontalLogisticRegression, LogisticWorker
-from repro.core.mapreduce_svm import LocalSolveError
+from repro.core.mapreduce_svm import ConsensusSolveError, LocalSolveError
 from repro.core.partitioning import (
     VerticalPartition,
     horizontal_partition,
@@ -40,6 +40,7 @@ from repro.core.vertical_linear import (
 )
 
 __all__ = [
+    "ConsensusSolveError",
     "HorizontalKernelSVM",
     "SecureFeatureSelection",
     "correlation_scores",

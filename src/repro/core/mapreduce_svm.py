@@ -34,6 +34,7 @@ from repro.core.partitioning import VerticalPartition
 from repro.core.results import IterationRecord, TrainingHistory
 from repro.data.dataset import Dataset
 from repro.svm.kernels import Kernel
+from repro.svm.knapsack import KnapsackConvergenceError
 from repro.svm.model import accuracy
 from repro.svm.qp import BoxQPResult
 
@@ -46,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "TRAINING_FILE",
     "AdmmReducer",
+    "ConsensusSolveError",
     "HorizontalConsensusReducer",
     "HorizontalSVMMapper",
     "LocalSolveError",
@@ -79,6 +81,27 @@ class LocalSolveError(RuntimeError):
         self.node_id = node_id
         self.iteration = iteration
         self.result = result
+
+
+class ConsensusSolveError(RuntimeError):
+    """The Reducer's consensus solve found no KKT point within its budget.
+
+    Raised by :class:`VerticalReducerAdapter` instead of broadcasting a
+    consensus built on an unfinished knapsack solve.  ``node_id`` and
+    ``iteration`` name the reducer and the round; ``iterations`` and
+    ``residual`` are the solver's step count and smallest constraint
+    residual.
+    """
+
+    def __init__(self, node_id: str, iteration: int, iterations: int, residual: float) -> None:
+        super().__init__(
+            f"consensus knapsack on node {node_id} did not converge in round {iteration}: "
+            f"constraint residual {residual:.3g} after {iterations} iterations"
+        )
+        self.node_id = node_id
+        self.iteration = iteration
+        self.iterations = iterations
+        self.residual = residual
 
 
 class HorizontalSVMMapper(IterativeMapper):
@@ -322,13 +345,23 @@ class VerticalReducerAdapter(AdmmReducer):
         """Run the hinge-proximal/knapsack consensus step on the share sum.
 
         Emits an ``admm.consensus_step`` span, then closes the round.
+
+        Raises
+        ------
+        ConsensusSolveError
+            If the knapsack exhausts its iteration budget.
         """
         with context.network.tracer.span(
             "admm.consensus_step", kind="trainer", node=context.node_id
         ):
-            correction, z_change, primal = self.logic.step(
-                np.asarray(sums["share"], dtype=float)
-            )
+            try:
+                correction, z_change, primal = self.logic.step(
+                    np.asarray(sums["share"], dtype=float)
+                )
+            except KnapsackConvergenceError as exc:
+                raise ConsensusSolveError(
+                    context.node_id, context.iteration, exc.iterations, exc.residual
+                ) from exc
         converged = self.close_round(context, z_change, primal)
         return {"correction": correction, "bias": self.logic.bias}, converged
 

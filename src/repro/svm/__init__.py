@@ -24,7 +24,7 @@ from repro.svm.kernels import (
     SigmoidKernel,
     kernel_by_name,
 )
-from repro.svm.knapsack import solve_quadratic_knapsack
+from repro.svm.knapsack import KnapsackConvergenceError, solve_quadratic_knapsack
 from repro.svm.model import SVC, LinearSVC
 from repro.svm.multiclass import OneVsOneClassifier, OneVsRestClassifier
 from repro.svm.qp import solve_box_qp
@@ -34,6 +34,7 @@ __all__ = [
     "GridSearch",
     "GridSearchResult",
     "Kernel",
+    "KnapsackConvergenceError",
     "LinearKernel",
     "LinearSVC",
     "OneVsOneClassifier",

@@ -62,3 +62,39 @@ def cluster(network: Network) -> tuple[Network, SimulatedHdfs]:
     for i in range(4):
         hdfs.add_datanode(f"node{i}")
     return network, hdfs
+
+
+def breakpoint_knapsack(a, d, c, r, lo, hi) -> np.ndarray:
+    """Reference minimiser of the quadratic knapsack, by sorting breakpoints.
+
+    ``phi(nu) = sum_i c_i clip(q_i - nu c_i/a_i, lo_i, hi_i) - r`` is
+    linear between consecutive breakpoints (where a coordinate with
+    ``c_i != 0`` meets a bound) and constant beyond them, for finite
+    bounds.  Evaluate it at every sorted breakpoint, find the piece that
+    holds its root and interpolate linearly.
+    """
+    q, s = -d / a, c / a
+    lo, hi = np.broadcast_to(lo, q.shape), np.broadcast_to(hi, q.shape)
+
+    def x_of(nu):
+        return np.clip(q - nu * s, lo, hi)
+
+    moving = s != 0.0
+    ends = np.concatenate([(q - lo)[moving], (q - hi)[moving]])
+    points = np.unique(ends / np.tile(s[moving], 2))  # sorted, duplicates merged
+    if points.size == 0:  # phi is constant: x does not depend on nu
+        return x_of(0.0)
+    values = np.array([c @ x_of(nu) - r for nu in points])
+    if values[0] <= 0.0:  # r is the largest achievable sum
+        return x_of(points[0])
+    if values[-1] >= 0.0:  # r is the smallest achievable sum
+        return x_of(points[-1])
+    k = np.flatnonzero(values >= 0.0)[-1]
+    nu0, nu1 = points[k], points[k + 1]
+    return x_of(nu0 + (nu1 - nu0) * values[k] / (values[k] - values[k + 1]))
+
+
+@pytest.fixture(scope="session")
+def knapsack_reference():
+    """:func:`breakpoint_knapsack`, for tests that check exact minimisers."""
+    return breakpoint_knapsack

@@ -16,7 +16,10 @@ CHANGES.md.
 consensus of the cases that solve box QPs, as the coordinate-descent
 solver left it before the active-set solver replaced it.  The two
 solvers reach the same optima, so the consensus must agree to 1e-6
-relative.
+relative.  ``fixtures/admm_parent_knapsack_consensus.json`` does the same
+for the vertical cases, as the bisection knapsack left them before the
+Newton knapsack replaced it; both solve the Reducer's knapsack exactly,
+so the consensus must agree to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from repro.svm.kernels import RBFKernel
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN_PATH = FIXTURES / "admm_golden.json"
 PARENT_SOLVER_PATH = FIXTURES / "admm_parent_solver_consensus.json"
+PARENT_KNAPSACK_PATH = FIXTURES / "admm_parent_knapsack_consensus.json"
 
 
 def digest(*arrays) -> str:
@@ -141,6 +145,7 @@ def observe(name: str) -> dict:
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
 PARENT_SOLVER = json.loads(PARENT_SOLVER_PATH.read_text())
+PARENT_KNAPSACK = json.loads(PARENT_KNAPSACK_PATH.read_text())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -148,13 +153,22 @@ def test_trajectory_matches_golden_pin(name):
     assert observe(name) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", sorted(PARENT_SOLVER))
-def test_consensus_matches_coordinate_descent_solver(name):
+def final_consensus(name: str) -> np.ndarray:
     train, test = split()
     _, consensus = CASES[name](train, test)
-    new = np.concatenate([np.asarray(part, dtype=float).ravel() for part in consensus])
+    return np.concatenate([np.asarray(part, dtype=float).ravel() for part in consensus])
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_SOLVER))
+def test_consensus_matches_coordinate_descent_solver(name):
     old = np.array(PARENT_SOLVER[name])
-    assert np.linalg.norm(new - old) <= 1e-6 * np.linalg.norm(old)
+    assert np.linalg.norm(final_consensus(name) - old) <= 1e-6 * np.linalg.norm(old)
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_KNAPSACK))
+def test_consensus_matches_bisection_knapsack(name):
+    old = np.array(PARENT_KNAPSACK[name])
+    assert np.linalg.norm(final_consensus(name) - old) <= 1e-9 * np.linalg.norm(old)
 
 
 if __name__ == "__main__":  # pragma: no cover - deliberate re-pin only

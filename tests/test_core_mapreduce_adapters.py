@@ -1,14 +1,18 @@
 """Direct unit tests for the Mapper/Reducer Twister adapters."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.cluster.twister import MapperContext, ReducerContext
 from repro.cluster.network import Network
+from repro.core import vertical_linear
 from repro.core.horizontal_kernel import HorizontalKernelSVM
 from repro.core.horizontal_linear import HorizontalLinearSVM
 from repro.core.horizontal_logistic import HorizontalLogisticRegression
 from repro.core.mapreduce_svm import (
+    ConsensusSolveError,
     HorizontalConsensusReducer,
     HorizontalSVMMapper,
     LocalSolveError,
@@ -22,6 +26,7 @@ from repro.core.vertical_kernel import VerticalKernelSVM
 from repro.core.vertical_linear import VerticalLinearSVM
 from repro.data.synthetic import make_blobs
 from repro.svm.kernels import RBFKernel
+from repro.svm.knapsack import solve_quadratic_knapsack
 
 
 @pytest.fixture
@@ -97,6 +102,43 @@ class TestLocalSolveError:
         assert caught.value.iteration == 0
         assert not caught.value.result.converged
         assert caught.value.result.iterations == 1
+
+
+class TestConsensusSolveError:
+    @pytest.fixture
+    def one_step_knapsack(self, monkeypatch):
+        monkeypatch.setattr(
+            vertical_linear,
+            "solve_quadratic_knapsack",
+            functools.partial(solve_quadratic_knapsack, max_iter=1),
+        )
+
+    def test_reducer_names_node_and_round(self, one_step_knapsack, reducer_context):
+        ds = make_blobs(24, 3, seed=2)
+        adapter = VerticalReducerAdapter(ds.y, C=10.0, rho=10.0, n_learners=2)
+        context = ReducerContext(node_id="reducer", network=reducer_context.network, iteration=7)
+        with pytest.raises(ConsensusSolveError, match="node reducer .* round 7") as caught:
+            adapter.reduce({"share": np.random.default_rng(0).normal(size=24)}, 2, context)
+        assert caught.value.node_id == "reducer"
+        assert caught.value.iteration == 7
+        assert caught.value.iterations == 1
+        assert caught.value.residual > 0.0
+
+    @pytest.mark.parametrize(
+        "trainer",
+        [
+            lambda: PrivacyPreservingSVM("vertical", max_iter=3),
+            lambda: VerticalLinearSVM(max_iter=3),
+        ],
+        ids=["system", "vlin"],
+    )
+    def test_fit_stops_at_the_first_unsolved_round(self, one_step_knapsack, trainer):
+        # Balanced labels make round 0's multiplier exactly 0, found in one
+        # step; round 1 needs more.
+        parts = vertical_partition(make_blobs(90, 4, seed=0), 2, seed=0)
+        with pytest.raises(ConsensusSolveError, match="round 1") as caught:
+            trainer().fit(parts)
+        assert caught.value.iteration == 1
 
 
 class TestHorizontalReducer:

@@ -115,6 +115,37 @@ class TestKnapsackProperties:
 
 
 @st.composite
+def general_knapsack_problems(draw):
+    """Knapsacks with ties, zero coefficients, fixed coordinates and r != 0."""
+    n = draw(st.integers(2, 12))
+    a = draw(hnp.arrays(float, (n,), elements=st.sampled_from([0.5, 1.0, 2.0, 3.7])))
+    d = draw(hnp.arrays(float, (n,), elements=st.sampled_from([-4.0, -1.0, 0.0, 0.5, 3.0])))
+    c = draw(hnp.arrays(float, (n,), elements=st.sampled_from([-2.0, -1.0, 0.0, 1.0, 1.5])))
+    hi = draw(hnp.arrays(float, (n,), elements=st.sampled_from([0.0, 1.0, 2.5])))
+    weights = draw(hnp.arrays(float, (n,), elements=st.floats(0.0, 1.0)))
+    r = float(c @ (weights * hi))  # achievable: a point of the box
+    return a, d, c, r, np.zeros(n), hi
+
+
+class TestKnapsackExactnessProperties:
+    @given(general_knapsack_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_breakpoint_reference(self, knapsack_reference, problem):
+        result = solve_quadratic_knapsack(*problem)
+        np.testing.assert_allclose(result.x, knapsack_reference(*problem), rtol=0.0, atol=1e-10)
+
+    @given(general_knapsack_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_free_coordinates_are_stationary(self, problem):
+        a, d, c, r, lo, hi = problem
+        result = solve_quadratic_knapsack(a, d, c, r, lo, hi)
+        x, nu = result.x, result.nu
+        free = (x > lo) & (x < hi)
+        terms = np.abs(a * x) + np.abs(d) + np.abs(nu * c)
+        assert np.all(np.abs(a * x + d + nu * c)[free] <= 1e-10 * terms[free])
+
+
+@st.composite
 def svm_datasets(draw):
     n = draw(st.integers(6, 24))
     k = draw(st.integers(2, 5))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_higgs_like
-from repro.svm.knapsack import solve_quadratic_knapsack
+from repro.svm.knapsack import KnapsackConvergenceError, solve_quadratic_knapsack
 from repro.svm.qp import projected_gradient_residual, psd_factor, solve_box_qp
 
 
@@ -237,3 +237,116 @@ class TestQuadraticKnapsack:
         if interior.any():
             stationarity = a[interior] * result.x[interior] + d[interior] + result.nu * c[interior]
             np.testing.assert_allclose(stationarity, 0.0, atol=1e-6)
+
+
+def ties(rng):
+    # Equal diagonals and repeated linear terms: duplicate breakpoints.
+    n = 60
+    d = rng.choice([-3.0, -1.0, 0.0, 2.0], size=n)
+    return np.full(n, 0.5), d, rng.choice([-1.0, 1.0], size=n), 0.0, 0.0, 4.0
+
+
+def all_at_bound(rng):
+    # As many +1 as -1 coordinates want the upper bound and the rest the
+    # lower: the optimum has every coordinate at a bound, and phi's root
+    # is a whole flat piece.
+    n = 40
+    c = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    d = np.where(np.arange(n) < 20, -100.0, 100.0)
+    order = rng.permutation(n)
+    return np.ones(n), d[order], c[order], 0.0, 0.0, 1.0
+
+
+def fixed_coordinates(rng):
+    n = 50
+    hi = np.where(rng.random(n) < 0.3, 0.0, 3.0)  # lo == hi on ~30%
+    c = rng.choice([-1.0, 1.0], size=n)
+    return rng.uniform(0.5, 2.0, n), rng.normal(size=n), c, 0.0, 0.0, hi
+
+
+def nonzero_rhs(rng):
+    n = 45
+    lo, hi = rng.uniform(-2.0, 0.0, n), rng.uniform(0.5, 2.0, n)
+    c = rng.normal(size=n)
+    r = float(c @ rng.uniform(lo, hi))
+    return rng.uniform(0.1, 5.0, n), 10.0 * rng.normal(size=n), c, r, lo, hi
+
+
+def zero_coefficients(rng):
+    n = 40
+    c = rng.normal(size=n)
+    c[rng.random(n) < 0.25] = 0.0
+    return rng.uniform(0.5, 2.0, n), rng.normal(size=n), c, 1.5, 0.0, 2.0
+
+
+def reducer_shaped(n, seed=0, M=4.0, rho=100.0, C=50.0):
+    """The Reducer's knapsack: ``a = M/rho``, ``c = y``, box ``[0, C]``."""
+    rng = np.random.default_rng(seed)
+    y = rng.choice([-1.0, 1.0], size=n)
+    cbar = rng.normal(0.0, 0.3, size=n) + 0.2 * y
+    return np.full(n, M / rho), M * y * cbar - 1.0, y, 0.0, 0.0, C
+
+
+EXACT_CASES = [ties, all_at_bound, fixed_coordinates, nonzero_rhs, zero_coefficients]
+
+
+def assert_free_coordinates_stationary(a, d, c, lo, hi, result):
+    """``a_i x_i + d_i + nu c_i = 0`` to 1e-10 relative off the bounds."""
+    x, nu = result.x, result.nu
+    free = (x > lo) & (x < hi)
+    terms = np.abs(a * x) + np.abs(d) + np.abs(nu * c)
+    assert np.all(np.abs(a * x + d + nu * c)[free] <= 1e-10 * terms[free])
+
+
+class TestKnapsackExactness:
+    @pytest.mark.parametrize("case", EXACT_CASES, ids=lambda case: case.__name__)
+    def test_matches_breakpoint_reference(self, case, rng, knapsack_reference):
+        a, d, c, r, lo, hi = case(rng)
+        result = solve_quadratic_knapsack(a, d, c, r, lo, hi)
+        expected = knapsack_reference(a, d, c, r, lo, hi)
+        scale = max(1.0, np.abs(expected).max())
+        np.testing.assert_allclose(result.x, expected, rtol=0.0, atol=1e-10 * scale)
+
+    @pytest.mark.parametrize("case", EXACT_CASES, ids=lambda case: case.__name__)
+    def test_free_coordinates_are_stationary(self, case, rng):
+        a, d, c, r, lo, hi = case(rng)
+        result = solve_quadratic_knapsack(a, d, c, r, lo, hi)
+        assert_free_coordinates_stationary(a, d, c, lo, hi, result)
+
+    def test_all_at_bound_has_no_free_coordinate(self, rng):
+        result = solve_quadratic_knapsack(*all_at_bound(rng))
+        assert set(np.unique(result.x)) <= {0.0, 1.0}
+
+    def test_rhs_at_end_of_range(self):
+        # r sits 1e-10 above the largest achievable sum (inside the
+        # feasibility slack): every coordinate ends at its upper bound.
+        result = solve_quadratic_knapsack(
+            np.ones(5), np.zeros(5), np.ones(5), 5.0 + 1e-10, 0.0, 1.0
+        )
+        np.testing.assert_array_equal(result.x, np.ones(5))
+        assert result.constraint_residual <= 1e-9
+
+    def test_root_far_below_the_bracket_scale(self, knapsack_reference):
+        # The root nu ~ 8.5e-183 is below the rounding of a Newton step
+        # taken from nu ~ 0.1; bisection on the float grid gets there.
+        a, d, c = np.full(2, 0.5), np.array([0.0, -4.0]), np.full(2, -2.0)
+        problem = (a, d, c, -6.8e-182, 0.0, np.array([1.0, 0.0]))
+        result = solve_quadratic_knapsack(*problem)
+        np.testing.assert_allclose(result.x, knapsack_reference(*problem), rtol=1e-12, atol=0.0)
+        assert result.iterations <= 20
+
+    def test_reducer_shaped_converges_in_few_iterations(self):
+        # Bisection to an absolute 1e-12 ran out its 200 steps on this shape.
+        a, d, c, r, lo, hi = reducer_shaped(32_000)
+        result = solve_quadratic_knapsack(a, d, c, r, lo, hi)
+        assert result.iterations <= 10
+        assert result.constraint_residual <= 1e-9
+        assert ((result.x > lo) & (result.x < hi)).any()
+        assert_free_coordinates_stationary(a, d, c, lo, hi, result)
+
+    def test_exhausted_budget_raises(self):
+        a, d, c, r, lo, hi = reducer_shaped(500)
+        with pytest.raises(KnapsackConvergenceError, match="1 iterations") as caught:
+            solve_quadratic_knapsack(a, d, c, r, lo, hi, max_iter=1)
+        assert caught.value.iterations == 1
+        assert caught.value.residual > 0.0
