@@ -47,7 +47,7 @@ def test_secure_sum_round_prg_mode(benchmark):
 def test_fixed_point_encode_dim100(benchmark):
     codec = FixedPointCodec()
     values = np.random.default_rng(0).normal(size=100)
-    benchmark(codec.encode, values)
+    benchmark(codec.encode_array, values)
 
 
 def test_paillier_encrypt(benchmark, keypair):

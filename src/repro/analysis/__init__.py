@@ -26,8 +26,7 @@ framework with six shipped checkers:
 
 Entry points: :func:`~repro.analysis.engine.run_lint` (programmatic)
 and ``repro lint`` (CLI).  Suppression: ``# repro-lint: disable=RULE``
-pragmas, the ``.repro-lint.toml`` allowlist, and
-:mod:`~repro.analysis.baseline` snapshots (``--baseline``) — see
+pragmas and the ``.repro-lint.toml`` allowlist — see
 ``docs/STATIC_ANALYSIS.md`` for the rule registry.  CI hooks: SARIF
 output (``--format sarif``) and the whole-run result cache
 (:mod:`~repro.analysis.cache`).
@@ -35,7 +34,6 @@ output (``--format sarif``) and the whole-run result cache
 
 from repro.analysis.allowlist import Allowlist, AllowlistEntry, AllowlistError
 from repro.analysis.base import Checker, ModuleChecker, Project
-from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.cache import LintCache
 from repro.analysis.engine import LintReport, all_rules, default_checkers, run_lint
 from repro.analysis.findings import Finding, Rule, Severity
@@ -45,8 +43,6 @@ __all__ = [
     "Allowlist",
     "AllowlistEntry",
     "AllowlistError",
-    "Baseline",
-    "BaselineError",
     "Checker",
     "Finding",
     "LintCache",

@@ -11,8 +11,8 @@ fingerprint of everything the run can observe:
   staleness contract ``make`` uses);
 * the rule set — rule ids of the checkers in play, so adding or removing
   a checker invalidates;
-* out-of-band dependencies — the allowlist file, any baseline file, and
-  the docs the doc-drift checker reads (:data:`EXTRA_DEPENDENCIES`).
+* out-of-band dependencies — the allowlist file and the docs the
+  doc-drift checker reads (:data:`EXTRA_DEPENDENCIES`).
 
 Touching any input produces a different key, which misses and falls
 through to a real run; the new result then replaces the stored entry

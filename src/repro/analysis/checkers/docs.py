@@ -1,11 +1,10 @@
 """Counter/doc drift checker.
 
 ``docs/OBSERVABILITY.md`` is the registry of record for every counter
-name the code emits (see PR 1); this checker — the successor of the
-standalone ``tools/check_observability_docs.py`` lint — extracts every
-``.increment(`` / ``.counter(`` call-site name (f-string placeholders
-normalize to ``<name>``) and reports any name the document does not
-mention, as a structured finding at the emitting line.  Folding it into
+name the code emits; this checker extracts every ``.increment(`` /
+``.counter(`` call-site name (f-string placeholders normalize to
+``<name>``) and reports any name the document does not mention, as a
+structured finding at the emitting line.  Folding it into
 the framework means one driver (``repro lint``) runs the whole static
 suite.
 """

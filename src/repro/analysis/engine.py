@@ -10,8 +10,8 @@ CLI, the test suite, and CI.  It
    crashing the run),
 3. runs every checker over the :class:`~repro.analysis.base.Project`,
 4. suppresses findings covered by a ``# repro-lint: disable=...``
-   pragma, an allowlist entry, or a baseline snapshot (suppressed
-   findings are kept, marked, for auditing), and
+   pragma or an allowlist entry (suppressed findings are kept, marked,
+   for auditing), and
 5. reports allowlist entries that matched nothing
    (``lint.unused-allowlist-entry``) so dead exceptions are cleaned up.
 
@@ -34,7 +34,6 @@ from repro.analysis.allowlist import (
     Allowlist,
 )
 from repro.analysis.base import Checker, Project
-from repro.analysis.baseline import Baseline
 from repro.analysis.cache import LintCache
 from repro.analysis.findings import Finding, Rule, Severity
 from repro.analysis.source import ModuleSource
@@ -180,8 +179,8 @@ class LintReport:
     def format_sarif(self) -> str:
         """SARIF 2.1.0 document (``--format sarif``) for code-scanning UIs.
 
-        Active findings become ``results``; pragma/allowlist/baseline
-        suppressed findings are included with a ``suppressions`` entry so
+        Active findings become ``results``; pragma/allowlist-suppressed
+        findings are included with a ``suppressions`` entry so
         scanners show them as reviewed rather than silently dropping
         them.  Interprocedural traces map onto ``codeFlows``.
         """
@@ -282,7 +281,6 @@ def run_lint(
     checkers: list[Checker] | None = None,
     allowlist: Allowlist | None = None,
     use_default_allowlist: bool = True,
-    baseline: Baseline | None = None,
     cache: LintCache | None = None,
 ) -> LintReport:
     """Lint ``paths`` (default: ``root/src``) and return the report.
@@ -302,13 +300,10 @@ def run_lint(
     use_default_allowlist:
         When True and ``allowlist`` is None, load
         ``root/.repro-lint.toml`` if it exists.
-    baseline:
-        Known findings to suppress (diff mode, ``--baseline``);
-        suppressed occurrences carry ``suppressed_by="baseline"``.
     cache:
         Whole-run result cache (``--cache``).  A hit skips the run
         entirely; any change to the linted files, the rule set, the
-        allowlist, the baseline, or the checker-read docs misses.
+        allowlist, or the checker-read docs misses.
     """
     root = root.resolve()
     if paths is None:
@@ -319,8 +314,6 @@ def run_lint(
         default_path = root / DEFAULT_ALLOWLIST_NAME
         if default_path.is_file():
             allowlist = Allowlist.load(default_path)
-    if baseline is not None:
-        baseline = baseline.fresh()
 
     collected = _collect_files(list(paths))
     run_rules = all_rules(checkers)
@@ -331,10 +324,7 @@ def run_lint(
             root=root,
             files=collected,
             rule_ids=[rule.id for rule in run_rules],
-            extra_paths=[
-                Path(allowlist.path) if allowlist is not None else None,
-                Path(baseline.path) if baseline is not None and baseline.path else None,
-            ],
+            extra_paths=[Path(allowlist.path) if allowlist is not None else None],
         )
         payload = cache.lookup(cache_key)
         if payload is not None:
@@ -380,9 +370,6 @@ def run_lint(
             continue
         if allowlist is not None and allowlist.match(finding) is not None:
             suppressed.append(replace(finding, suppressed_by="allowlist"))
-            continue
-        if baseline is not None and baseline.consume(finding):
-            suppressed.append(replace(finding, suppressed_by="baseline"))
             continue
         active.append(finding)
 

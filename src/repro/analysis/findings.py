@@ -79,9 +79,8 @@ class Finding:
         step is ``"path:line description"``, outermost (the sink) first,
         the taint origin last.  Empty for single-site findings.
     suppressed_by:
-        ``None`` for active findings; ``"pragma"``, ``"allowlist"`` or
-        ``"baseline"`` when the occurrence was audited away (kept for
-        reporting).
+        ``None`` for active findings; ``"pragma"`` or ``"allowlist"``
+        when the occurrence was audited away (kept for reporting).
     """
 
     rule: str

@@ -128,12 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="also print pragma/allowlist-suppressed findings")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule registry and exit")
-    lint.add_argument("--baseline", metavar="PATH",
-                      help="suppress findings recorded in this baseline "
-                      "snapshot; only new findings are reported")
-    lint.add_argument("--write-baseline", metavar="PATH",
-                      help="snapshot the run's active findings to PATH "
-                      "and exit 0")
     lint.add_argument("--cache", action="store_true",
                       help="reuse the previous run's result when nothing "
                       "changed (<root>/.repro-lint-cache.json)")
@@ -335,8 +329,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import (
         Allowlist,
         AllowlistError,
-        Baseline,
-        BaselineError,
         LintCache,
         all_rules,
         run_lint,
@@ -360,13 +352,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         except (AllowlistError, OSError) as exc:
             print(f"repro lint: {exc}", file=sys.stderr)
             return 2
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(Path(args.baseline))
-        except BaselineError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
     cache = None
     if args.cache or args.cache_path:
         cache_path = Path(args.cache_path) if args.cache_path else root / DEFAULT_CACHE_NAME
@@ -377,20 +362,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             paths,
             allowlist=allowlist,
             use_default_allowlist=not args.no_allowlist,
-            baseline=baseline,
             cache=cache,
         )
     except (AllowlistError, FileNotFoundError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).write(Path(args.write_baseline))
-        print(
-            f"baseline with {len(report.findings)} finding(s) written to "
-            f"{args.write_baseline}"
-        )
-        return 0
 
     if args.format == "json":
         print(report.format_json())

@@ -8,8 +8,8 @@ traffic per iteration, number of cryptographic operations at the Reducer,
 and so on.
 
 Every counter name emitted anywhere in ``src/repro`` is cataloged in
-``docs/OBSERVABILITY.md`` (enforced by
-``tools/check_observability_docs.py``); for per-iteration attribution of
+``docs/OBSERVABILITY.md`` (enforced by the ``docs.undocumented-counter``
+rule of ``repro lint``); for per-iteration attribution of
 the same counters, see :class:`~repro.cluster.profiling.Profiler`.
 
 Example

@@ -15,35 +15,26 @@ the rounded inputs as long as the magnitudes stay below
 silently wrapping, because a wrapped consensus average would corrupt
 training in ways that are very hard to debug.
 
-Two backends implement the same arithmetic:
-
-* the **legacy list backend** — vectors of arbitrary-precision Python
-  ints (the original API: ``encode`` / ``decode`` / ``add`` /
-  ``subtract`` / ``random_vector`` on ``list[int]``), kept both as the
-  compatibility surface and as the baseline the perf-regression
-  harness compares against;
-* the **vectorized residue-array backend** (:class:`ResidueVector`) —
-  for power-of-two moduli, residues are fixed-width little-endian
-  multi-limb ``uint64`` numpy arrays of shape ``(n, L)`` (``L = 2`` for
-  the default 128-bit group) with carry-propagating vectorized
-  ``add``/``subtract`` and batched ``encode``/``decode``.  Odd (prime)
-  moduli fall back to object-dtype arrays of Python ints, which keeps
-  the arithmetic exact where a fixed limb count cannot.
-
-Both backends are *bit-identical*: every array op reproduces the exact
-integers of the legacy path, so protocol transcripts and training
-trajectories do not depend on which backend ran — the property tests in
-``tests/test_crypto_fixed_point_vectorized.py`` pin this.  Masks come
-from one raw ``rng.integers(0, 2**64, size=(n, W), dtype=uint64)`` draw
-per vector, shared by both backends: the words are the limbs for
-power-of-two moduli, and for odd moduli each row of ``W`` words (one
-more than the modulus needs) is reduced mod ``q``, with bias below
-``2^-64`` (see ``docs/PERFORMANCE.md``).
+Residues live in one packed type, :class:`ResidueVector`.  For
+power-of-two moduli a vector is a fixed-width little-endian multi-limb
+``uint64`` numpy array of shape ``(n, L)`` (``L = 2`` for the default
+128-bit group) with carry-propagating vectorized ``add``/``subtract``
+and batched ``encode``/``decode``.  Odd (prime) moduli use object-dtype
+arrays of Python ints, which keeps the arithmetic exact where a fixed
+limb count cannot.  Either layout holds the exact integers
+``round(x * 2^fractional_bits) mod q``; ``tests/conftest.py`` keeps an
+independent Python-int reference that the packed arithmetic is checked
+against, and ``tests/fixtures/protocol_transcripts.json`` pins the
+protocol messages built from it.  Masks come from one raw
+``rng.integers(0, 2**64, size=(n, W), dtype=uint64)`` draw per vector:
+the words are the limbs for power-of-two moduli, and for odd moduli
+each row of ``W`` words (one more than the modulus needs) is reduced
+mod ``q``, with bias below ``2^-64`` (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union, overload
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -54,7 +45,7 @@ _WORD_BITS = 64
 _WORD_MOD = 1 << _WORD_BITS
 _FULL_MASK = np.uint64(2**64 - 1)
 
-#: Residue-vector operand accepted by the polymorphic codec ops.
+#: Residue-vector operand accepted by the codec ops (lists are packed).
 ResidueLike = Union["ResidueVector", Sequence[int]]
 
 
@@ -67,8 +58,7 @@ class ResidueVector:
         Either a ``uint64`` array of shape ``(n, L)`` holding each
         residue as ``L`` little-endian 64-bit limbs (power-of-two
         moduli), or an object-dtype array of shape ``(n,)`` holding
-        arbitrary-precision Python ints (odd moduli, and the legacy
-        backend).
+        arbitrary-precision Python ints (odd moduli).
     modulus:
         The group order ``q``; every stored residue is in ``[0, q)``.
 
@@ -131,12 +121,6 @@ class FixedPointCodec:
     modulus:
         Explicit (possibly odd) modulus overriding ``modulus_bits`` —
         e.g. the prime field a Shamir-based aggregator operates in.
-    vectorized:
-        Select the residue-array backend for the ``*_array`` methods
-        (the default).  ``vectorized=False`` keeps the array API but
-        routes every operation through the legacy per-element Python
-        path — the baseline ``benchmarks/bench_hotpaths.py`` measures
-        against.  Both backends produce bit-identical residues.
     """
 
     def __init__(
@@ -146,7 +130,6 @@ class FixedPointCodec:
         *,
         max_terms: int = 1024,
         modulus: int | None = None,
-        vectorized: bool = True,
     ) -> None:
         if fractional_bits < 1:
             raise ValueError(f"fractional_bits must be >= 1, got {fractional_bits}")
@@ -167,8 +150,8 @@ class FixedPointCodec:
         self.scale: int = 1 << fractional_bits
         # Any single value must satisfy |x| * scale * max_terms < q / 2.
         self.max_magnitude: float = self.modulus / (2.0 * self.scale * self.max_terms)
-        self.vectorized = bool(vectorized)
-        # Limb geometry of the power-of-two fast path.
+        # Power-of-two moduli are stored as uint64 limbs; this is their
+        # geometry.
         self._power_of_two = self.modulus & (self.modulus - 1) == 0
         if self._power_of_two:
             bits = self.modulus.bit_length() - 1
@@ -187,100 +170,47 @@ class FixedPointCodec:
             # reduction mod q below 2^-64.
             self._mask_words = (self.modulus_bits + _WORD_BITS - 1) // _WORD_BITS + 1
 
-    # -- scalars (Python ints: vectors of arbitrary-precision residues) --
-
-    def encode(self, values: ArrayLike) -> list[int]:
-        """Encode a float vector as a list of residues modulo ``q``."""
-        arr = self._check_encodable(values)
-        out: list[int] = []
-        for x in arr:
-            v = int(round(float(x) * self.scale)) % self.modulus
-            out.append(v)
-        return out
-
     def decode(self, residues: ResidueLike) -> np.ndarray:
-        """Decode residues back to floats (centered lift, then unscale)."""
-        if isinstance(residues, ResidueVector):
-            return self._decode_array(residues)
-        half = self.modulus >> 1
-        out = np.empty(len(residues), dtype=float)
-        for i, r in enumerate(residues):
-            r = int(r) % self.modulus
-            if r >= half:
-                r -= self.modulus
-            out[i] = r / self.scale
-        return out
+        """Decode residues back to floats (centered lift, then unscale).
 
-    @overload
-    def add(self, a: "ResidueVector", b: ResidueLike) -> "ResidueVector": ...
-
-    @overload
-    def add(self, a: Sequence[int], b: "ResidueVector") -> "ResidueVector": ...
-
-    @overload
-    def add(self, a: Sequence[int], b: Sequence[int]) -> list[int]: ...
-
-    def add(self, a: ResidueLike, b: ResidueLike) -> ResidueLike:
-        """Elementwise modular addition of two residue vectors.
-
-        List operands use the legacy Python-int path and return a list;
-        :class:`ResidueVector` operands use the packed backend and
-        return a :class:`ResidueVector`.  The residues are identical
-        either way.
+        Int-list operands (here and in :meth:`add` / :meth:`subtract`)
+        are reduced mod ``q`` and packed first; the result is always
+        computed on a :class:`ResidueVector`.
         """
-        if isinstance(a, ResidueVector) or isinstance(b, ResidueVector):
-            return self._binary_array_op(a, b, subtract=False)
-        if len(a) != len(b):
-            raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-        return [(int(x) + int(y)) % self.modulus for x, y in zip(a, b)]
+        return self._decode_array(self._coerce(residues))
 
-    @overload
-    def subtract(self, a: "ResidueVector", b: ResidueLike) -> "ResidueVector": ...
+    def add(self, a: ResidueLike, b: ResidueLike) -> ResidueVector:
+        """Elementwise modular addition of two residue vectors."""
+        return self._binary_array_op(a, b, subtract=False)
 
-    @overload
-    def subtract(self, a: Sequence[int], b: "ResidueVector") -> "ResidueVector": ...
-
-    @overload
-    def subtract(self, a: Sequence[int], b: Sequence[int]) -> list[int]: ...
-
-    def subtract(self, a: ResidueLike, b: ResidueLike) -> ResidueLike:
+    def subtract(self, a: ResidueLike, b: ResidueLike) -> ResidueVector:
         """Elementwise modular subtraction of two residue vectors."""
-        if isinstance(a, ResidueVector) or isinstance(b, ResidueVector):
-            return self._binary_array_op(a, b, subtract=True)
-        if len(a) != len(b):
-            raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-        return [(int(x) - int(y)) % self.modulus for x, y in zip(a, b)]
-
-    def random_vector(self, n: int, rng: np.random.Generator) -> list[int]:
-        """A uniformly random residue vector (a one-time pad mask)."""
-        return self.random_vector_array(n, rng).to_ints()
-
-    # -- residue-array backend -------------------------------------------
+        return self._binary_array_op(a, b, subtract=True)
 
     def zeros_array(self, n: int) -> ResidueVector:
         """The all-zero residue vector of length ``n`` in packed form."""
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        if self._use_limbs():
+        if self._power_of_two:
             return ResidueVector(
                 np.zeros((n, self._n_limbs), dtype=np.uint64), self.modulus
             )
         return ResidueVector(np.array([0] * n, dtype=object), self.modulus)
 
     def encode_array(self, values: ArrayLike) -> ResidueVector:
-        """Batched :meth:`encode` returning a packed :class:`ResidueVector`.
+        """Encode a float vector as a packed :class:`ResidueVector`.
 
-        Bit-identical to the legacy path: the scale is a power of two,
-        so ``x * scale`` and the half-to-even rounding are exact float
-        operations.  When every rounded value fits ``int64`` its
-        two's-complement bits, sign-extended across the limbs, are the
-        residue mod ``2^bits``; larger magnitudes, which only the
-        overflow bound of big moduli admits, are sliced into limbs by
-        exact ``divmod`` of the integral float.
+        Exact: the scale is a power of two, so ``x * scale`` and the
+        half-to-even rounding are exact float operations.  When every
+        rounded value fits ``int64`` its two's-complement bits,
+        sign-extended across the limbs, are the residue mod ``2^bits``;
+        larger magnitudes, which only the overflow bound of big moduli
+        admits, are sliced into limbs by exact ``divmod`` of the
+        integral float.
         """
         arr = self._check_encodable(values)
         scaled = np.rint(arr * float(self.scale))
-        if not self._use_limbs():
+        if not self._power_of_two:
             ints = [int(v) % self.modulus for v in scaled]
             return ResidueVector(np.array(ints, dtype=object), self.modulus)
         limbs = np.empty((arr.shape[0], self._n_limbs), dtype=np.uint64)
@@ -302,30 +232,26 @@ class FixedPointCodec:
         return ResidueVector(limbs, self.modulus)
 
     def random_vector_array(self, n: int, rng: np.random.Generator) -> ResidueVector:
-        """Batched :meth:`random_vector`: ``n`` uniform residues mod ``q``.
+        """A uniformly random residue vector (a one-time pad mask).
 
         One ``rng.integers`` call draws an ``(n, W)`` block of raw
         64-bit words.  For power-of-two moduli the words are the limbs
         (``W = L``, top limb masked); for odd moduli each row is
         composed little-endian into one integer of ``W`` words and
-        reduced mod ``q``.  Both backends make the same draw, so they
-        return identical residues and leave ``rng`` in the same state.
+        reduced mod ``q``.
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
         words = rng.integers(
             0, _WORD_MOD, size=(n, self._mask_words), dtype=np.uint64
         )
-        if self._use_limbs():
+        if self._power_of_two:
             words[:, -1] &= self._top_mask
             return ResidueVector(words, self.modulus)
         residues = [v % self.modulus for v in _limbs_to_ints(words)]
         return ResidueVector(np.array(residues, dtype=object), self.modulus)
 
     # -- internals -------------------------------------------------------
-
-    def _use_limbs(self) -> bool:
-        return self.vectorized and self._power_of_two
 
     def _check_encodable(self, values: ArrayLike) -> np.ndarray:
         arr = np.asarray(values, dtype=float).ravel()
@@ -342,8 +268,8 @@ class FixedPointCodec:
         return arr
 
     def _from_ints(self, residues: Sequence[int]) -> ResidueVector:
-        """Pack already-reduced Python-int residues for this backend."""
-        if not self._use_limbs():
+        """Pack already-reduced Python-int residues."""
+        if not self._power_of_two:
             return ResidueVector(
                 np.array([int(r) for r in residues], dtype=object), self.modulus
             )
@@ -373,8 +299,6 @@ class FixedPointCodec:
         vb = self._coerce(b)
         if len(va) != len(vb):
             raise ValueError(f"length mismatch: {len(va)} vs {len(vb)}")
-        if va.limbs.dtype != vb.limbs.dtype:  # mixed backends: normalize
-            vb = self._from_ints(vb.to_ints())
         if va.limbs.dtype == object:
             if subtract:
                 result = (va.limbs - vb.limbs) % self.modulus
@@ -431,24 +355,19 @@ class FixedPointCodec:
         return out
 
     def _decode_array(self, vector: ResidueVector) -> np.ndarray:
-        """Decode a packed vector, bit-identical to the legacy loop.
+        """Decode a packed vector: centered lift, then unscale.
 
         Fast path: when every centered magnitude fits one limb, the
         ``uint64 -> float64`` conversion and the power-of-two unscale
         are each correctly rounded, which composes to exactly the
-        correctly-rounded ``int / int`` division the legacy path
-        performs.  Multi-limb magnitudes (astronomical masked shares,
-        sums beyond 2^64 ulps) take the exact per-element path instead
-        — composing floats limb-by-limb could double-round.
+        correctly-rounded ``int / int`` division of :meth:`_decode_exact`.
+        Multi-limb magnitudes (astronomical masked shares, sums beyond
+        2^64 ulps) and odd moduli take that exact per-element path
+        instead — composing floats limb-by-limb could double-round.
         """
-        if vector.modulus != self.modulus:
-            raise ValueError(
-                f"residue vector modulus {vector.modulus} does not match "
-                f"codec modulus {self.modulus}"
-            )
         limbs = vector.limbs
         if limbs.dtype == object:
-            return self.decode(vector.to_ints())
+            return self._decode_exact(vector.to_ints())
         negative = ((limbs[:, -1] >> self._sign_shift) & np.uint64(1)) == 1
         magnitude = limbs
         if np.any(negative):
@@ -456,15 +375,20 @@ class FixedPointCodec:
                 negative[:, None], self._negate_limbs(limbs), limbs
             )
         if magnitude.shape[1] > 1 and np.any(magnitude[:, 1:]):
-            return self.decode(vector.to_ints())
+            return self._decode_exact(vector.to_ints())
         values = magnitude[:, 0].astype(np.float64) / float(self.scale)
         return np.where(negative, -values, values)
+
+    def _decode_exact(self, residues: list[int]) -> np.ndarray:
+        """Centered lift and correctly-rounded ``int / int`` unscale."""
+        half = self.modulus >> 1
+        lifted = [r - self.modulus if r >= half else r for r in residues]
+        return np.array([r / self.scale for r in lifted], dtype=float)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FixedPointCodec(fractional_bits={self.fractional_bits}, "
-            f"modulus_bits={self.modulus_bits}, max_terms={self.max_terms}, "
-            f"vectorized={self.vectorized})"
+            f"modulus_bits={self.modulus_bits}, max_terms={self.max_terms})"
         )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.network import Network
-from repro.crypto.fixed_point import FixedPointCodec
+from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secret_sharing import (
     MERSENNE_PRIME_127,
     shamir_lagrange_weights,
@@ -197,7 +197,7 @@ class ThresholdSummationProtocol:
             with tracer.span(
                 "crypto.shamir_reconstruct", kind="crypto", node=self.reducer_id
             ):
-                received: list[tuple[int, list[int]]] = []
+                received: list[tuple[int, ResidueVector]] = []
                 for _ in alive:
                     message = self.network.receive_message(
                         self.reducer_id, kind="threshold-agg-share"

@@ -83,7 +83,6 @@ def coalition_recovery_attempt(
     if target in view.corrupted:
         raise ValueError("the target must be an honest participant")
     others = [p for p in participants if p != target]
-    n_participants = len(participants)
 
     # Locate the target's masked share for the requested round.
     shares = [m for m in view.messages if m.kind == "masked-share" and m.src == target]
@@ -92,32 +91,29 @@ def coalition_recovery_attempt(
             f"view contains {len(shares)} shares from {target!r}, "
             f"round_index {round_index} out of range"
         )
-    share = [int(v) for v in shares[round_index].payload]
-    n = len(share)
 
     # Masks the coalition knows: sent by target to a corrupted Mapper
     # (cancel the +mask in Sed) or sent to target by a corrupted Mapper
     # (cancel the -mask in Rev).  Masks of round r are the r-th mask
     # message on each ordered pair's wire.
-    estimate = list(share)
+    estimate = shares[round_index].payload
     unknown = 0
     for other in others:
         sent = [
             m for m in view.messages if m.kind == "mask" and m.src == target and m.dst == other
         ]
         if other in view.corrupted and round_index < len(sent):
-            estimate = codec.subtract(estimate, [int(v) for v in sent[round_index].payload])
+            estimate = codec.subtract(estimate, sent[round_index].payload)
         else:
             unknown += 1
         received = [
             m for m in view.messages if m.kind == "mask" and m.src == other and m.dst == target
         ]
         if other in view.corrupted and round_index < len(received):
-            estimate = codec.add(estimate, [int(v) for v in received[round_index].payload])
+            estimate = codec.add(estimate, received[round_index].payload)
         else:
             unknown += 1
 
-    del n_participants
     return CoalitionRecovery(
         target=target,
         estimate=codec.decode(estimate),

@@ -98,3 +98,49 @@ def breakpoint_knapsack(a, d, c, r, lo, hi) -> np.ndarray:
 def knapsack_reference():
     """:func:`breakpoint_knapsack`, for tests that check exact minimisers."""
     return breakpoint_knapsack
+
+
+class ScalarResidueCodec:
+    """Reference fixed-point arithmetic in ``Z_q`` on plain Python ints.
+
+    Independent of the packed ``ResidueVector`` backend: ``encode`` is
+    ``round(x * 2^f) mod q`` (half to even), ``add``/``subtract`` reduce
+    elementwise, ``decode`` lifts ``r >= q >> 1`` to ``r - q`` and takes
+    the correctly-rounded ``int / int`` quotient, and ``random_vector``
+    composes each row of one raw ``(n, W)`` ``uint64`` draw little-endian
+    and reduces it mod ``q`` (``W`` as many words as ``q - 1`` needs for
+    a power of two, one more otherwise).
+    """
+
+    def __init__(self, modulus: int, fractional_bits: int) -> None:
+        self.modulus, self.scale = modulus, 1 << fractional_bits
+
+    def encode(self, values) -> list[int]:
+        return [round(float(x) * self.scale) % self.modulus for x in values]
+
+    def add(self, a, b) -> list[int]:
+        return [(int(x) + int(y)) % self.modulus for x, y in zip(a, b, strict=True)]
+
+    def subtract(self, a, b) -> list[int]:
+        return [(int(x) - int(y)) % self.modulus for x, y in zip(a, b, strict=True)]
+
+    def decode(self, residues) -> np.ndarray:
+        q = self.modulus
+        lifted = [int(r) - q if int(r) >= q >> 1 else int(r) for r in residues]
+        return np.array([r / self.scale for r in lifted], dtype=float)
+
+    def random_vector(self, n: int, rng: np.random.Generator) -> list[int]:
+        bits = (self.modulus - 1).bit_length()
+        power_of_two = self.modulus & (self.modulus - 1) == 0
+        n_words = max(1, -(-bits // 64)) if power_of_two else -(-bits // 64) + 1
+        rows = rng.integers(0, 2**64, size=(n, n_words), dtype=np.uint64).tolist()
+        return [
+            sum(word << (64 * i) for i, word in enumerate(row)) % self.modulus
+            for row in rows
+        ]
+
+
+@pytest.fixture(scope="session")
+def residue_reference():
+    """:class:`ScalarResidueCodec`, the oracle for the packed codec."""
+    return ScalarResidueCodec

@@ -8,8 +8,8 @@ of the per-module checkers:
   (``repro.analysis.interproc``);
 * protocol-invariant verification (``checkers/protocol.py``) against
   both broken fixtures and the real crypto implementations;
-* the CI-grade outputs — SARIF, baselines (``--baseline``), and the
-  whole-run result cache — at the API and CLI levels.
+* the CI-grade outputs — SARIF and the whole-run result cache — at
+  the API and CLI levels.
 """
 
 import ast
@@ -21,14 +21,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineError,
     Finding,
     LintCache,
     Severity,
     run_lint,
 )
-from repro.analysis.baseline import fingerprint
 from repro.analysis.callgraph import MAX_DISPATCH_CANDIDATES, CallGraph
 from repro.analysis.base import Project
 from repro.analysis.checkers.privacy import PrivacyTaintChecker
@@ -250,7 +247,7 @@ def test_protocol_rules_only_apply_in_crypto_scope(tmp_path):
     assert report.findings == []
 
 
-# -- baselines ------------------------------------------------------------
+# -- result cache ---------------------------------------------------------
 
 
 def _leaky_tree(tmp_path):
@@ -262,70 +259,6 @@ def _leaky_tree(tmp_path):
         "    network.send(node, 'reducer', data.X)\n"
     )
     return leak
-
-
-def test_baseline_suppresses_known_findings(tmp_path):
-    _leaky_tree(tmp_path)
-    before = run_lint(tmp_path, use_default_allowlist=False)
-    assert len(before.findings) == 1
-    baseline = Baseline.from_findings(before.findings)
-    after = run_lint(tmp_path, use_default_allowlist=False, baseline=baseline)
-    assert after.findings == []
-    assert [f.suppressed_by for f in after.suppressed] == ["baseline"]
-    assert after.exit_code(strict=True) == 0
-
-
-def test_baseline_survives_line_shifts_but_catches_new_findings(tmp_path):
-    leak = _leaky_tree(tmp_path)
-    baseline = Baseline.from_findings(
-        run_lint(tmp_path, use_default_allowlist=False).findings
-    )
-    # Edit the file above the finding: lines shift, the leak stays known.
-    leak.write_text("# a new leading comment\n# and another\n" + leak.read_text())
-    shifted = run_lint(tmp_path, use_default_allowlist=False, baseline=baseline)
-    assert shifted.findings == []
-    # A genuinely new leak is not absorbed by the baseline.
-    leak.write_text(
-        leak.read_text() + "    network.send(node, 'reducer', data.y)\n"
-    )
-    grown = run_lint(tmp_path, use_default_allowlist=False, baseline=baseline)
-    assert [f.rule for f in grown.findings] == ["privacy.raw-data-to-network"]
-    assert "data.y" in grown.findings[0].source
-    assert grown.exit_code() == 1
-
-
-def test_baseline_counts_duplicate_lines(tmp_path):
-    src_dir = tmp_path / "src"
-    src_dir.mkdir()
-    leak = src_dir / "leak.py"
-    line = "    network.send(node, 'reducer', data.X)\n"
-    leak.write_text("def publish(network, node, data):\n" + line)
-    baseline = Baseline.from_findings(
-        run_lint(tmp_path, use_default_allowlist=False).findings
-    )
-    # A second copy of the same offending line exceeds the recorded count.
-    leak.write_text(leak.read_text() + line)
-    report = run_lint(tmp_path, use_default_allowlist=False, baseline=baseline)
-    assert len(report.findings) == 1
-    assert len([f for f in report.suppressed if f.suppressed_by == "baseline"]) == 1
-
-
-def test_baseline_file_roundtrip_and_validation(tmp_path):
-    _leaky_tree(tmp_path)
-    report = run_lint(tmp_path, use_default_allowlist=False)
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(report.findings).write(path)
-    loaded = Baseline.load(path)
-    assert loaded.counts == {fingerprint(report.findings[0]): 1}
-    (tmp_path / "bad.json").write_text('{"version": 99}')
-    with pytest.raises(BaselineError):
-        Baseline.load(tmp_path / "bad.json")
-    (tmp_path / "junk.json").write_text("not json")
-    with pytest.raises(BaselineError):
-        Baseline.load(tmp_path / "junk.json")
-
-
-# -- result cache ---------------------------------------------------------
 
 
 def test_cache_hit_returns_identical_report_and_is_faster(tmp_path):
@@ -458,40 +391,6 @@ def test_cli_lint_sarif_format(capsys):
     assert any(r["ruleId"] == "privacy.interproc-leak" for r in results)
 
 
-def test_cli_lint_baseline_workflow_with_an_edited_file(tmp_path, capsys):
-    leak = _leaky_tree(tmp_path)
-    baseline_path = tmp_path / "lint-baseline.json"
-    code = cli_main(
-        ["lint", "--root", str(tmp_path), "--no-allowlist",
-         "--write-baseline", str(baseline_path)]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "1 finding(s)" in out
-    assert baseline_path.is_file()
-
-    # Edit the file (shift lines); the baselined finding stays quiet.
-    leak.write_text("# refactor note\n" + leak.read_text())
-    code = cli_main(
-        ["lint", "--root", str(tmp_path), "--no-allowlist", "--strict",
-         "--baseline", str(baseline_path)]
-    )
-    capsys.readouterr()
-    assert code == 0
-
-    # A new leak in the edited file still fails the run.
-    leak.write_text(
-        leak.read_text() + "    network.send(node, 'reducer', data.y)\n"
-    )
-    code = cli_main(
-        ["lint", "--root", str(tmp_path), "--no-allowlist",
-         "--baseline", str(baseline_path)]
-    )
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "data.y" in out and "1 error(s)" in out
-
-
 def test_cli_lint_stale_allowlist_strict_vs_not(tmp_path, capsys):
     src_dir = tmp_path / "src"
     src_dir.mkdir()
@@ -526,11 +425,9 @@ def test_cli_lint_cache_roundtrip(tmp_path, capsys):
 
 
 def test_cli_lint_bad_baseline_is_usage_error(tmp_path, capsys):
+    # The finding-snapshot mode is gone; its flag is an unknown option.
     (tmp_path / "src").mkdir()
-    bad = tmp_path / "baseline.json"
-    bad.write_text("nope")
-    code = cli_main(
-        ["lint", "--root", str(tmp_path), "--baseline", str(bad)]
-    )
-    assert code == 2
-    assert "baseline" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["lint", "--root", str(tmp_path), "--baseline", str(tmp_path / "b.json")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --baseline" in capsys.readouterr().err

@@ -1,13 +1,15 @@
-"""Equivalence tests: vectorized residue backend vs the legacy list path.
+"""Equivalence tests: the packed residue codec vs a scalar reference.
 
-The vectorized backend (packed ``uint64`` limb arrays) must be
-*bit-identical* to the per-element Python-int implementation — same
-residues, same decoded floats — for both the default power-of-two
-modulus and an odd prime field, and both backends must draw the same
-masks from the same generator and leave it in the same state.  The
-mask stream itself is pinned by SHA-256 digests in
-``fixtures/mask_stream_digests.json``; a deliberate change to it
-re-pins them with ``PYTHONPATH=src python
+The packed backend (``uint64`` limb arrays for power-of-two moduli,
+object arrays of Python ints for odd ones) must reproduce the exact
+integers of ``ScalarResidueCodec`` in ``conftest.py`` — same residues,
+same decoded floats, same masks from the same generator, which it must
+leave in the same state — for the default power-of-two modulus, narrower
+and wider ones, and an odd prime field.  Test names that say *legacy*
+compare against that reference, which carries the arithmetic of the
+retired ``list[int]`` backend.  The mask stream itself is pinned by
+SHA-256 digests in ``fixtures/mask_stream_digests.json``; a deliberate
+change to it re-pins them with ``PYTHONPATH=src python
 tests/test_crypto_fixed_point_vectorized.py`` and says so in
 CHANGES.md.  A regression here means protocol transcripts or training
 trajectories silently changed.
@@ -55,20 +57,21 @@ def mask_stream_digests(codec: FixedPointCodec) -> dict[str, str]:
 
 
 @pytest.fixture(params=CODEC_CONFIGS)
-def codec_pair(request):
-    """(vectorized, legacy-backend) codecs with identical parameters."""
-    kwargs = dict(request.param)
-    return FixedPointCodec(**kwargs), FixedPointCodec(**kwargs, vectorized=False)
+def codec(request):
+    return FixedPointCodec(**request.param)
+
+
+@pytest.fixture
+def reference(codec, residue_reference):
+    """The scalar reference for ``codec``'s group and scale."""
+    return residue_reference(codec.modulus, codec.fractional_bits)
 
 
 class TestEncodeDecodeEquivalence:
-    def test_encode_array_matches_legacy_list(self, codec_pair, rng):
-        codec, legacy = codec_pair
+    def test_encode_array_matches_legacy_list(self, codec, reference, rng):
         values = rng.normal(size=257) * min(1.0, codec.max_magnitude / 10)
         values[0] = 0.0
-        expected = codec.encode(values)
-        assert codec.encode_array(values).to_ints() == expected
-        assert legacy.encode_array(values).to_ints() == expected
+        assert codec.encode_array(values).to_ints() == reference.encode(values)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -79,12 +82,12 @@ class TestEncodeDecodeEquivalence:
             pytest.param({"modulus": MERSENNE_PRIME_127, "max_terms": 4}, id="mersenne-prime-127"),
         ],
     )
-    def test_encode_array_matches_scalar_across_int64_cut(self, kwargs):
+    def test_encode_array_matches_scalar_across_int64_cut(self, kwargs, residue_reference):
         # Scaled magnitudes below 2^63 take the int64 path, the rest the
         # exact divmod path; a batch takes the int64 path only when all
         # of its values fit.
         codec = FixedPointCodec(**kwargs)
-        legacy = FixedPointCodec(**kwargs, vectorized=False)
+        reference = residue_reference(codec.modulus, codec.fractional_bits)
         scale = float(codec.scale)
         magnitudes = [2.0**63 - 2.0**10, 2.0**63, 2.0**70]
         halves = [0.5, 1.5, 2.5, 3.5, 2.0**40 + 0.5]
@@ -97,46 +100,64 @@ class TestEncodeDecodeEquivalence:
             assert magnitudes[-1] / scale in encodable
         small = [v for v in encodable if abs(v) * scale < 2.0**63]
         for batch in [[v] for v in encodable] + [encodable, small]:
-            expected = codec.encode(batch)
-            assert codec.encode_array(batch).to_ints() == expected, batch
-            assert legacy.encode_array(batch).to_ints() == expected, batch
+            encoded = codec.encode_array(batch)
+            assert encoded.to_ints() == reference.encode(batch), batch
+            assert np.array_equal(
+                codec.decode(encoded), reference.decode(reference.encode(batch))
+            ), batch
 
-    def test_decode_matches_legacy_on_small_residues(self, codec_pair, rng):
-        codec, legacy = codec_pair
+    def test_decode_matches_legacy_on_small_residues(self, codec, reference, rng):
         values = rng.normal(size=129) * min(1.0, codec.max_magnitude / 10)
-        residues = codec.encode(values)
-        expected = codec.decode(residues)
+        expected = reference.decode(reference.encode(values))
         assert np.array_equal(codec.decode(codec.encode_array(values)), expected)
-        assert np.array_equal(legacy.decode(legacy.encode_array(values)), expected)
 
-    def test_decode_matches_legacy_on_full_range_residues(self, codec_pair):
+    def test_decode_matches_legacy_on_full_range_residues(self, codec, reference):
         # Masked shares are uniform over [0, q): the packed decode must
         # take its exact big-int path, not the single-limb float path.
-        codec, _ = codec_pair
         residues = full_range_residues(codec, 64, 5)
-        packed = codec._from_ints(residues)
-        assert np.array_equal(codec.decode(packed), codec.decode(residues))
+        expected = reference.decode(residues)
+        assert np.array_equal(codec.decode(codec._from_ints(residues)), expected)
+        assert np.array_equal(codec.decode(residues), expected)
 
-    def test_roundtrip_is_exact_for_dyadic_values(self, codec_pair):
-        codec, _ = codec_pair
+    def test_roundtrip_is_exact_for_dyadic_values(self, codec):
         values = np.array([0.0, 1.0, -1.0, 0.5, -0.25, 3.75, -100.0])
         assert np.array_equal(codec.decode(codec.encode_array(values)), values)
 
 
 class TestArithmeticEquivalence:
-    def test_add_subtract_match_legacy(self, codec_pair):
-        codec, legacy = codec_pair
+    def test_add_subtract_match_legacy(self, codec, reference):
         a = full_range_residues(codec, 257, 1)
         b = full_range_residues(codec, 257, 2)
-        add_expected = codec.add(a, b)
-        sub_expected = codec.subtract(a, b)
-        for c in (codec, legacy):
-            va, vb = c._from_ints(a), c._from_ints(b)
-            assert c.add(va, vb).to_ints() == add_expected
-            assert c.subtract(va, vb).to_ints() == sub_expected
+        va, vb = codec._from_ints(a), codec._from_ints(b)
+        assert codec.add(va, vb).to_ints() == reference.add(a, b)
+        assert codec.subtract(va, vb).to_ints() == reference.subtract(a, b)
 
-    def test_mask_roundtrip_cancels(self, codec_pair, rng):
-        codec, _ = codec_pair
+    def test_add_subtract_decode_match_reference_on_boundaries(self, codec, reference):
+        # Carries, borrows and the centered lift change behaviour only at
+        # limb edges and at q/2, which uniform draws almost never hit.
+        q = codec.modulus
+        edges = {0, 1, 2, q - 2, q - 1, (q >> 1) - 1, q >> 1, (q >> 1) + 1}
+        for bits in range(64, q.bit_length(), 64):
+            edges |= {(1 << bits) - 1, 1 << bits, (1 << bits) + 1}
+        edges = sorted(e for e in edges if 0 <= e < q)
+        a = [x for x in edges for _ in edges]
+        b = [y for _ in edges for y in edges]
+        va, vb = codec._from_ints(a), codec._from_ints(b)
+        assert codec.add(va, vb).to_ints() == reference.add(a, b)
+        assert codec.subtract(va, vb).to_ints() == reference.subtract(a, b)
+        assert np.array_equal(codec.decode(va), reference.decode(a))
+
+    def test_int_list_operands_return_residue_vector(self, codec, reference):
+        # The threshold path adds Shamir shares as plain int lists; the
+        # result is packed like any other.
+        a = full_range_residues(codec, 33, 6)
+        b = full_range_residues(codec, 33, 7)
+        total, diff = codec.add(a, b), codec.subtract(a, b)
+        assert isinstance(total, ResidueVector) and isinstance(diff, ResidueVector)
+        assert total == codec._from_ints(reference.add(a, b))
+        assert diff == codec._from_ints(reference.subtract(a, b))
+
+    def test_mask_roundtrip_cancels(self, codec, rng):
         values = rng.normal(size=40) * min(1.0, codec.max_magnitude / 10)
         encoded = codec.encode_array(values)
         mask = codec.random_vector_array(40, default_rng(3))
@@ -145,42 +166,31 @@ class TestArithmeticEquivalence:
         assert unmasked == encoded
         assert np.array_equal(codec.decode(unmasked), codec.decode(encoded))
 
-    def test_mixed_operand_types(self, codec_pair):
-        codec, _ = codec_pair
+    def test_mixed_operand_types(self, codec, reference):
         ints = full_range_residues(codec, 9, 4)
         packed = codec._from_ints(ints)
-        assert codec.add(packed, ints).to_ints() == codec.add(ints, ints)
+        assert codec.add(packed, ints).to_ints() == reference.add(ints, ints)
         assert codec.subtract(ints, packed).to_ints() == [0] * 9
 
-    def test_length_mismatch_rejected(self, codec_pair):
-        codec, _ = codec_pair
+    def test_length_mismatch_rejected(self, codec):
         with pytest.raises(ValueError, match="length"):
             codec.add(codec.zeros_array(1), codec.zeros_array(2))
 
 
 class TestRandomVectorStream:
-    def test_backends_agree_over_consecutive_draws(self, codec_pair):
-        codec, legacy = codec_pair
-        vec_rng, leg_rng = default_rng(7), default_rng(7)
+    def test_backends_agree_over_consecutive_draws(self, codec, reference):
+        packed_rng, reference_rng = default_rng(7), default_rng(7)
         for n in (33, 1, 17):
-            packed = codec.random_vector_array(n, vec_rng)
-            assert packed.to_ints() == legacy.random_vector_array(n, leg_rng).to_ints()
+            packed = codec.random_vector_array(n, packed_rng)
+            assert packed.to_ints() == reference.random_vector(n, reference_rng)
         # The generators must leave the stream in the identical state.
-        assert int(vec_rng.integers(0, 2**63)) == int(leg_rng.integers(0, 2**63))
+        assert int(packed_rng.integers(0, 2**63)) == int(reference_rng.integers(0, 2**63))
 
-    def test_random_vector_is_array_to_ints(self, codec_pair):
-        codec, legacy = codec_pair
-        for c in (codec, legacy):
-            assert c.random_vector(17, default_rng(13)) == (
-                c.random_vector_array(17, default_rng(13)).to_ints()
-            )
-
-    def test_low_and_high_bit_of_every_limb_balanced(self, codec_pair):
+    def test_low_and_high_bit_of_every_limb_balanced(self, codec):
         # Each tested bit of a uniform residue is set with probability
         # 1/2 (within 2^-126 for the Mersenne prime), so over n = 4096
         # draws its count is Binomial(4096, 1/2) with sd 32; six sd
         # (|count - 2048| <= 192) leaves a false-alarm chance below 1e-8.
-        codec, _ = codec_pair
         n, bound = 4096, 192
         residues = codec.random_vector_array(n, default_rng(41)).to_ints()
         bits = (codec.modulus - 1).bit_length()
@@ -192,28 +202,23 @@ class TestRandomVectorStream:
     @pytest.mark.parametrize("name", sorted(CODEC_KWARGS))
     def test_mask_stream_matches_golden_digest(self, name):
         digests = json.loads(DIGESTS_PATH.read_text())
-        for vectorized in (True, False):
-            codec = FixedPointCodec(**CODEC_KWARGS[name], vectorized=vectorized)
-            assert mask_stream_digests(codec) == digests[name]
+        assert mask_stream_digests(FixedPointCodec(**CODEC_KWARGS[name])) == digests[name]
 
-    def test_values_in_range(self, codec_pair):
-        codec, _ = codec_pair
+    def test_values_in_range(self, codec):
         vec = codec.random_vector_array(100, default_rng(17))
         assert all(0 <= v < codec.modulus for v in vec)
 
-    def test_empty_and_negative(self, codec_pair):
-        codec, _ = codec_pair
+    def test_empty_and_negative(self, codec):
         assert codec.random_vector_array(0, default_rng(0)).to_ints() == []
         with pytest.raises(ValueError, match="non-negative"):
             codec.random_vector_array(-1, default_rng(0))
 
 
 class TestResidueVectorContainer:
-    def test_iter_getitem_len_eq(self, codec_pair):
-        codec, legacy = codec_pair
+    def test_iter_getitem_len_eq(self, codec):
         ints = full_range_residues(codec, 12, 29)
         packed = codec._from_ints(ints)
-        other = legacy._from_ints(ints)
+        other = ResidueVector(np.array(ints, dtype=object), codec.modulus)
         assert len(packed) == 12
         assert [int(v) for v in packed] == ints
         assert [packed[i] for i in range(12)] == ints
@@ -221,8 +226,7 @@ class TestResidueVectorContainer:
         assert packed == other
         assert packed != codec._from_ints([(v + 1) % codec.modulus for v in ints])
 
-    def test_pickle_roundtrip(self, codec_pair):
-        codec, _ = codec_pair
+    def test_pickle_roundtrip(self, codec):
         vec = codec.random_vector_array(20, default_rng(31))
         restored = pickle.loads(pickle.dumps(vec))
         assert isinstance(restored, ResidueVector)

@@ -1,35 +1,30 @@
 """docs/OBSERVABILITY.md must cover every counter the code emits.
 
 The extraction lives in the static-analysis suite
-(``repro.analysis.checkers.docs``); ``tools/check_observability_docs.py``
-is a compatibility shim over it.  Both are exercised here, so a new
+(``repro.analysis.checkers.docs``) and runs in CI as the
+``docs.undocumented-counter`` rule of ``repro lint``.  It is exercised
+here over the real source tree, so a new
 ``metrics.increment("new.counter", ...)`` call site fails the suite
 until the counter is documented.
 """
 
-import importlib.util
 import sys
 from pathlib import Path
 
 from repro.analysis import Project, run_lint
-from repro.analysis.checkers.docs import CounterDocsChecker
+from repro.analysis.checkers.docs import CounterDocsChecker, extract_counter_names
 from repro.analysis.source import ModuleSource
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_lint():
-    spec = importlib.util.spec_from_file_location(
-        "check_observability_docs", ROOT / "tools" / "check_observability_docs.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _source_modules() -> list[ModuleSource]:
+    paths = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    return [ModuleSource.load(path, ROOT) for path in paths]
 
 
 def test_every_emitted_counter_documented():
-    lint = _load_lint()
-    names = lint.counter_names()
+    names = {name for module in _source_modules() for name in extract_counter_names(module)}
     # Extraction sanity: the well-known counters must be found...
     assert "network.bytes.<kind>" in names
     assert "crypto.secure_sum_rounds" in names
@@ -41,18 +36,19 @@ def test_every_emitted_counter_documented():
 
 
 def test_lint_script_exit_code():
-    lint = _load_lint()
-    assert lint.main() == 0
+    report = run_lint(ROOT, checkers=[CounterDocsChecker()], use_default_allowlist=False)
+    assert report.findings == []
+    assert report.exit_code(strict=True) == 0
 
 
-def test_lint_detects_missing_name(monkeypatch, tmp_path, capsys):
-    lint = _load_lint()
-    doc = tmp_path / "OBSERVABILITY.md"
-    doc.write_text("nothing documented here")
-    monkeypatch.setattr(lint, "DOC", doc)
-    assert lint.main() == 1
-    out = capsys.readouterr().out
-    assert "missing from" in out
+def test_lint_detects_missing_name(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "OBSERVABILITY.md").write_text("nothing documented here")
+    project = Project(root=tmp_path, modules=_source_modules())
+    findings = list(CounterDocsChecker().check(project))
+    assert findings
+    assert {f.rule for f in findings} == {"docs.undocumented-counter"}
+    assert "crypto.secure_sum_rounds" in " ".join(f.message for f in findings)
 
 
 def test_docs_checker_flags_undocumented_counter(tmp_path):

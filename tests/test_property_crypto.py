@@ -26,7 +26,7 @@ class TestFixedPointProperties:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_error_bound(self, values):
         codec = FixedPointCodec(fractional_bits=40)
-        decoded = codec.decode(codec.encode(values))
+        decoded = codec.decode(codec.encode_array(values))
         assert np.max(np.abs(decoded - values)) <= 2.0**-40 + 1e-12
 
     @given(
@@ -36,7 +36,7 @@ class TestFixedPointProperties:
     @settings(max_examples=60, deadline=None)
     def test_homomorphic_add(self, a, b):
         codec = FixedPointCodec()
-        out = codec.decode(codec.add(codec.encode(a), codec.encode(b)))
+        out = codec.decode(codec.add(codec.encode_array(a), codec.encode_array(b)))
         np.testing.assert_allclose(out, a + b, atol=1e-9)
 
     @given(hnp.arrays(float, 5, elements=bounded_floats), st.integers(0, 2**31 - 1))
@@ -44,8 +44,8 @@ class TestFixedPointProperties:
     def test_masking_is_invertible(self, values, seed):
         codec = FixedPointCodec()
         rng = np.random.default_rng(seed)
-        mask = codec.random_vector(5, rng)
-        encoded = codec.encode(values)
+        mask = codec.random_vector_array(5, rng)
+        encoded = codec.encode_array(values)
         assert codec.subtract(codec.add(encoded, mask), mask) == encoded
 
 
