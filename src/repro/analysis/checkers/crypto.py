@@ -25,8 +25,8 @@ __all__ = ["CryptoMisuseChecker", "is_crypto_scope"]
 #: Calls whose results live in the modular/ciphertext domain.
 CIPHER_PRODUCERS = frozenset(
     {"encode", "encode_array", "random_vector", "random_vector_array",
-     "zeros_array", "shamir_share", "additive_share",
-     "encrypt", "encrypt_raw", "encrypt_vector"}
+     "zeros_array", "combine", "shamir_share", "shamir_share_vector",
+     "additive_share", "encrypt", "encrypt_raw", "encrypt_vector"}
 )
 
 #: Modular-domain operations that *keep* values in the cipher domain.
@@ -34,7 +34,8 @@ CIPHER_PRESERVING = frozenset({"add", "subtract"})
 
 #: Mask/pad generators (for the reuse-across-rounds rule).
 MASK_GENERATORS = frozenset(
-    {"random_vector", "random_vector_array", "_rand_field_element"}
+    {"random_vector", "random_vector_array", "_rand_field_element",
+     "_rand_field_elements"}
 )
 
 _RNG_CONSTRUCTORS = frozenset({"default_rng", "RandomState", "Generator"})

@@ -32,7 +32,7 @@ not a deep semantic property.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.analysis.base import ModuleChecker
 from repro.analysis.checkers.crypto import MASK_GENERATORS, is_crypto_scope
@@ -88,6 +88,25 @@ def _operand_name(node: ast.AST) -> str | None:
     ):
         return node.value.id
     return None
+
+
+def _container_name(node: ast.AST) -> str | None:
+    """The base name of a container expression (``terms``, ``terms[p]``, ``*terms[p]``)."""
+    while isinstance(node, (ast.Starred, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _combine_operands(call: ast.Call) -> tuple[ast.AST | None, ast.AST | None]:
+    """The ``plus`` and ``minus`` arguments of a ``combine(plus, minus)`` call."""
+    plus = call.args[0] if call.args else None
+    minus = call.args[1] if len(call.args) > 1 else None
+    for keyword in call.keywords:
+        if keyword.arg == "plus":
+            plus = keyword.value
+        elif keyword.arg == "minus":
+            minus = keyword.value
+    return plus, minus
 
 
 def _assigned_names(node: ast.Assign) -> list[str]:
@@ -164,7 +183,14 @@ class ProtocolInvariantChecker(ModuleChecker):
         under a ``Message`` envelope name) carries the ``-``, so a round
         balances when total adds equal total subtracts.  A sign flip or
         a dropped subtraction still surfaces — the names that fail to
-        balance individually are the ones reported.
+        balance individually are the ones reported.  A round that
+        applies none of its masks is reported too: nothing cancels
+        because nothing was masked.
+
+        Applications are ``add``/``subtract`` calls, ``+``/``-``
+        operators, and the batched ``combine(plus, minus)``: a mask
+        passed in ``plus`` (directly, or appended into a container that
+        is passed there) counts as ``+``, one in ``minus`` as ``-``.
         """
         bindings: dict[str, int] = {}  # name -> first binding line
         sends = False
@@ -185,6 +211,10 @@ class ProtocolInvariantChecker(ModuleChecker):
 
         adds: dict[str, int] = {name: 0 for name in bindings}
         subtracts: dict[str, int] = {name: 0 for name in bindings}
+        # Masks appended into containers, and the containers a
+        # ``combine`` nets with + (its ``plus`` side) or - (``minus``).
+        appended: list[tuple[str, str]] = []  # (container, mask name)
+        netted: list[tuple[str, dict[str, int]]] = []  # (container, counter)
         for stmt in _scope_statements(func):
             if isinstance(stmt, ast.Call):
                 op = _call_name(stmt)
@@ -194,6 +224,30 @@ class ProtocolInvariantChecker(ModuleChecker):
                         name = _operand_name(arg)
                         if name in bindings:
                             counter[name] += 1
+                elif op == "append" and isinstance(stmt.func, ast.Attribute):
+                    container = _container_name(stmt.func.value)
+                    for arg in stmt.args:
+                        name = _operand_name(arg)
+                        if container is not None and name in bindings:
+                            appended.append((container, name))
+                elif op == "combine":
+                    plus, minus = _combine_operands(stmt)
+                    for operand_arg, counter in ((plus, adds), (minus, subtracts)):
+                        if operand_arg is None:
+                            continue
+                        terms: Sequence[ast.AST] = (
+                            operand_arg.elts
+                            if isinstance(operand_arg, (ast.List, ast.Tuple))
+                            else [operand_arg]
+                        )
+                        for term in terms:
+                            name = _operand_name(term)
+                            if name in bindings:
+                                counter[name] += 1  # a mask passed directly
+                                continue
+                            container = _container_name(term)
+                            if container is not None:
+                                netted.append((container, counter))
             elif isinstance(stmt, ast.BinOp) and isinstance(
                 stmt.op, (ast.Add, ast.Sub)
             ):
@@ -206,7 +260,21 @@ class ProtocolInvariantChecker(ModuleChecker):
                     negative = isinstance(stmt.op, ast.Sub) and side == "right"
                     counter = subtracts if negative else adds
                     counter[name] += 1
+        for container, counter in netted:
+            for target, name in appended:
+                if target == container:
+                    counter[name] += 1
 
+        if not any(adds.values()) and not any(subtracts.values()):
+            for name in sorted(bindings):
+                yield self.finding(
+                    "protocol.unbalanced-mask",
+                    module,
+                    bindings[name],
+                    f"mask {name!r} is never applied in {func.name}(), which "
+                    "sends — the masks mask nothing",
+                )
+            return
         if sum(adds.values()) == sum(subtracts.values()):
             return
         for name in sorted(bindings):

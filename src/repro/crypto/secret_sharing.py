@@ -31,6 +31,7 @@ __all__ = [
     "shamir_lagrange_weights",
     "shamir_reconstruct",
     "shamir_share",
+    "shamir_share_vector",
 ]
 
 #: A Mersenne prime comfortably larger than any fixed-point encoding we
@@ -38,11 +39,27 @@ __all__ = [
 MERSENNE_PRIME_127 = (1 << 127) - 1
 
 
-def _rand_field_element(rng: np.random.Generator, modulus: int) -> int:
-    value = 0
-    for _ in range((modulus.bit_length() + 62) // 63):
-        value = (value << 63) | int(rng.integers(0, 2**63))
+def _rand_field_elements(
+    rng: np.random.Generator, modulus: int, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Uniform elements of Z_modulus as an object array of ``shape``.
+
+    Each element composes ``W = ceil(bits / 63)`` 63-bit words, most
+    significant first, and is reduced mod ``modulus``.  All words come
+    from one ``rng.integers(0, 2**63, size=(*shape, W))`` block, which
+    yields the same word stream, in the same order, as one scalar draw
+    per word.
+    """
+    n_words = (modulus.bit_length() + 62) // 63
+    words = rng.integers(0, 2**63, size=(*shape, n_words)).astype(object)
+    value = words[..., 0]
+    for k in range(1, n_words):
+        value = (value << 63) | words[..., k]
     return value % modulus
+
+
+def _rand_field_element(rng: np.random.Generator, modulus: int) -> int:
+    return int(_rand_field_elements(rng, modulus, (1,))[0])
 
 
 def additive_share(
@@ -84,6 +101,28 @@ def shamir_share(
     where f is a random degree-(threshold-1) polynomial with
     ``f(0) = secret``.
     """
+    shares = shamir_share_vector([secret], n_shares, threshold, prime=prime, rng=rng)
+    return [(x, int(share)) for x, share in enumerate(shares[:, 0], start=1)]
+
+
+def shamir_share_vector(
+    secrets: Iterable[int],
+    n_shares: int,
+    threshold: int,
+    *,
+    prime: int = MERSENNE_PRIME_127,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Shamir-share every element of ``secrets`` at once.
+
+    Returns an object array of shape ``(n_shares, len(secrets))`` whose
+    row ``x - 1`` holds ``f_e(x)`` over GF(prime) for each element's
+    random degree-(threshold-1) polynomial ``f_e`` with
+    ``f_e(0) = secret_e``.  The coefficients are drawn element by
+    element from one block, the same stream as :func:`shamir_share`
+    per element, and all polynomials are evaluated at x = 1..n_shares
+    by one Vandermonde product.
+    """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if n_shares < threshold:
@@ -91,17 +130,14 @@ def shamir_share(
     if n_shares >= prime:
         raise ValueError("field too small for that many shares")
     rng = as_rng(rng)
-    secret %= prime
-    coeffs = [secret] + [_rand_field_element(rng, prime) for _ in range(threshold - 1)]
-
-    shares: list[tuple[int, int]] = []
-    for x in range(1, n_shares + 1):
-        # Horner evaluation of the polynomial at x.
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % prime
-        shares.append((x, acc))
-    return shares
+    constant = np.array([int(s) % prime for s in secrets], dtype=object)
+    coeffs = _rand_field_elements(rng, prime, (len(constant), threshold - 1))
+    # (n_shares, threshold) powers x^k times (threshold, n) coefficients.
+    vandermonde = np.array(
+        [[x**k for k in range(threshold)] for x in range(1, n_shares + 1)],
+        dtype=object,
+    )
+    return (vandermonde @ np.column_stack([constant, coeffs]).T) % prime
 
 
 def shamir_lagrange_weights(

@@ -31,7 +31,7 @@ from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
 from repro.crypto.secret_sharing import (
     MERSENNE_PRIME_127,
     shamir_lagrange_weights,
-    shamir_share,
+    shamir_share_vector,
 )
 from repro.obs.audit import ProtocolAuditLog
 from repro.utils.rng import as_rng, spawn_rngs
@@ -146,27 +146,23 @@ class ThresholdSummationProtocol:
                     threshold=self.threshold,
                     expected_senders=alive,
                 )
-            # Step 1: share each element among all participants.
-            # outgoing[src][dst] = list over elements of that dst's share
-            # value.
+            # Step 1: share each element among all participants: row j
+            # of a source's share matrix is destination j's share list.
             incoming: dict[str, list[list[int]]] = {p: [] for p in self.participants}
             with tracer.span("crypto.share_distribution", kind="crypto"):
                 for src in self.participants:
                     encoded = self.codec.encode_array(values[src])
-                    rng = self._rngs[src]
-                    per_dst: list[list[int]] = [[] for _ in range(n)]
-                    for residue in encoded:
-                        shares = shamir_share(
-                            residue, n, self.threshold, prime=self.prime, rng=rng
-                        )
-                        for j, (_, share_value) in enumerate(shares):
-                            per_dst[j].append(share_value)
-                        metrics.increment("crypto.shamir_shares_generated", n)
+                    shares = shamir_share_vector(
+                        encoded, n, self.threshold, prime=self.prime, rng=self._rngs[src]
+                    )
+                    metrics.increment("crypto.shamir_shares_generated", dim * n)
                     for j, dst in enumerate(self.participants):
                         if dst == src:
-                            incoming[dst].append(per_dst[j])
+                            incoming[dst].append(shares[j].tolist())
                         else:
-                            self.network.send(src, dst, per_dst[j], kind="threshold-share")
+                            self.network.send(
+                                src, dst, shares[j].tolist(), kind="threshold-share"
+                            )
                 for dst in self.participants:
                     for _ in range(n - 1):
                         incoming[dst].append(
@@ -175,13 +171,11 @@ class ThresholdSummationProtocol:
 
             # Step 2/3: alive participants aggregate their shares and
             # forward.  Shamir sharing is linear, so the elementwise sum
-            # of held share vectors — one vectorized modular add per
-            # incoming vector — is a share vector of the summed secret.
+            # of held share vectors — one modular ``combine`` — is a
+            # share vector of the summed secret.
             with tracer.span("crypto.share_aggregation", kind="crypto"):
                 for p in alive:
-                    aggregated = self.codec.zeros_array(dim)
-                    for share_vec in incoming[p]:
-                        aggregated = self.codec.add(aggregated, share_vec)
+                    aggregated = self.codec.combine(incoming[p])
                     x_coord = self.participants.index(p) + 1
                     self.network.send(
                         p, self.reducer_id, (x_coord, aggregated), kind="threshold-agg-share"
@@ -209,10 +203,12 @@ class ThresholdSummationProtocol:
                 weights = shamir_lagrange_weights(
                     [x for x, _ in chosen], prime=self.prime
                 )
-                totals = self.codec.zeros_array(dim)
-                for weight, (_, share_vec) in zip(weights, chosen):
-                    scaled = [(weight * int(s)) % self.prime for s in share_vec]
-                    totals = self.codec.add(totals, scaled)
+                totals = self.codec.combine(
+                    [
+                        ResidueVector(weight * share_vec.limbs % self.prime, self.prime)
+                        for weight, (_, share_vec) in zip(weights, chosen)
+                    ]
+                )
             metrics.increment("crypto.threshold_sum_rounds", 1)
             if self.audit is not None:
                 self.audit.reconstruction(len(chosen), ok=True)

@@ -95,24 +95,27 @@ def coalition_recovery_attempt(
     # Masks the coalition knows: sent by target to a corrupted Mapper
     # (cancel the +mask in Sed) or sent to target by a corrupted Mapper
     # (cancel the -mask in Rev).  Masks of round r are the r-th mask
-    # message on each ordered pair's wire.
-    estimate = shares[round_index].payload
+    # message on each ordered pair's wire.  The known masks are netted
+    # off the share in one modular ``combine``.
+    known_received = []
+    known_sent = []
     unknown = 0
     for other in others:
         sent = [
             m for m in view.messages if m.kind == "mask" and m.src == target and m.dst == other
         ]
         if other in view.corrupted and round_index < len(sent):
-            estimate = codec.subtract(estimate, sent[round_index].payload)
+            known_sent.append(sent[round_index].payload)
         else:
             unknown += 1
         received = [
             m for m in view.messages if m.kind == "mask" and m.src == other and m.dst == target
         ]
         if other in view.corrupted and round_index < len(received):
-            estimate = codec.add(estimate, received[round_index].payload)
+            known_received.append(received[round_index].payload)
         else:
             unknown += 1
+    estimate = codec.combine([shares[round_index].payload, *known_received], known_sent)
 
     return CoalitionRecovery(
         target=target,

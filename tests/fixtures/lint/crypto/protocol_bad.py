@@ -38,3 +38,29 @@ class LeakySummationProtocol:
         for i, a in enumerate(self.participants):
             for b in self.participants[i + 1 :]:
                 self._pair_rngs[(a, b)] = self.codec.stream(fresh_seed)
+
+    def sum_vectors_batched(self, values):
+        # Batched netting: both copies of each pad enter combine's plus.
+        n = len(values[self.participants[0]])
+        added = {p: [] for p in self.participants}
+        removed = {p: [] for p in self.participants}
+        for (a, b), pair_rng in self._pair_rngs.items():
+            pad = self.codec.random_vector_array(n, pair_rng)
+            added[a].append(pad)
+            # Sign flip: b's copy of the pad belongs in ``minus``.
+            added[b].append(pad)
+        for p in self.participants:
+            share = self.codec.combine([values[p], *added[p]], removed[p])
+            self.network.send(p, self.reducer_id, share, kind="masked-share")
+
+    def sum_vectors_unmasked(self, values):
+        n = len(values[self.participants[0]])
+        for sender in self.participants:
+            for receiver in self.participants:
+                if receiver == sender:
+                    continue
+                # Masks are exchanged but never netted into any share.
+                mask = self.codec.random_vector_array(n, self._rngs[sender])
+                self.network.send(sender, receiver, mask, kind="mask")
+        for p in self.participants:
+            self.network.send(p, self.reducer_id, values[p], kind="masked-share")

@@ -1,4 +1,8 @@
-"""Well-formed masking protocol: balanced masks, exchanged seeds, floor guard."""
+"""Well-formed masking protocol: balanced masks, exchanged seeds, floor guard.
+
+The batched round nets each pad once on ``combine``'s plus side and once
+on its minus side.
+"""
 
 
 class BalancedSummationProtocol:
@@ -36,4 +40,16 @@ class BalancedSummationProtocol:
                 net_mask[receiver] = self.codec.subtract(net_mask[receiver], mask)
         for p in self.participants:
             share = self.codec.add(values[p], net_mask[p])
+            self.network.send(p, self.reducer_id, share, kind="masked-share")
+
+    def sum_vectors_batched(self, values):
+        n = len(values[self.participants[0]])
+        added = {p: [] for p in self.participants}
+        removed = {p: [] for p in self.participants}
+        for (a, b), pair_rng in self._pair_rngs.items():
+            pad = self.codec.random_vector_array(n, pair_rng)
+            added[a].append(pad)
+            removed[b].append(pad)
+        for p in self.participants:
+            share = self.codec.combine([values[p], *added[p]], minus=removed[p])
             self.network.send(p, self.reducer_id, share, kind="masked-share")

@@ -208,12 +208,19 @@ def test_protocol_bad_fixture_flags_every_invariant():
         ("protocol.missing-participant-guard", 9),
         ("protocol.unbalanced-mask", 25),
         ("protocol.pair-seed-provenance", 40),
+        ("protocol.unbalanced-mask", 48),
+        ("protocol.unbalanced-mask", 63),
     ]
     unbalanced = next(
         f for f in report.findings if f.rule == "protocol.unbalanced-mask"
     )
     assert "+ 2 time(s)" in unbalanced.message
     assert "- 0 time(s)" in unbalanced.message
+    batched, unapplied = [
+        f for f in report.findings if f.rule == "protocol.unbalanced-mask"
+    ][1:]
+    assert "'pad'" in batched.message and "+ 2 time(s)" in batched.message
+    assert "never applied" in unapplied.message
 
 
 def test_protocol_ok_fixture_is_clean():

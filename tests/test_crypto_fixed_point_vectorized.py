@@ -23,6 +23,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.random import default_rng
 
 from repro.crypto.fixed_point import FixedPointCodec, ResidueVector
@@ -175,6 +176,94 @@ class TestArithmeticEquivalence:
     def test_length_mismatch_rejected(self, codec):
         with pytest.raises(ValueError, match="length"):
             codec.add(codec.zeros_array(1), codec.zeros_array(2))
+
+
+def boundary_residues(modulus: int) -> list[int]:
+    """Residues at which carries, borrows and the centered lift change."""
+    edges = {0, 1, modulus - 1, (modulus >> 1) - 1, modulus >> 1}
+    for bits in range(64, modulus.bit_length(), 64):
+        edges |= {(1 << bits) - 1, 1 << bits}
+    return sorted(e for e in edges if 0 <= e < modulus)
+
+
+class TestCombine:
+    """``combine(plus, minus)`` against a fold of the scalar oracle."""
+
+    @staticmethod
+    def oracle(reference, n, plus, minus):
+        total = [0] * n
+        for term in plus:
+            total = reference.add(total, term)
+        for term in minus:
+            total = reference.subtract(total, term)
+        return total
+
+    @pytest.mark.parametrize("name", sorted(CODEC_KWARGS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_oracle(self, name, residue_reference, data):
+        codec = FixedPointCodec(**CODEC_KWARGS[name])
+        reference = residue_reference(codec.modulus, codec.fractional_bits)
+        residue = st.one_of(
+            st.sampled_from(boundary_residues(codec.modulus)),
+            st.integers(0, codec.modulus - 1),
+        )
+        n = data.draw(st.integers(1, 5), label="n")
+        n_terms = data.draw(st.integers(1, 40), label="n_terms")
+        n_plus = data.draw(st.integers(1, n_terms), label="n_plus")
+        terms = data.draw(
+            st.lists(
+                st.lists(residue, min_size=n, max_size=n),
+                min_size=n_terms,
+                max_size=n_terms,
+            ),
+            label="terms",
+        )
+        # Each operand is passed either packed or as a plain int list.
+        packed = data.draw(
+            st.lists(st.booleans(), min_size=n_terms, max_size=n_terms), label="packed"
+        )
+        operands = [
+            codec._from_ints(term) if pack else term
+            for term, pack in zip(terms, packed)
+        ]
+        result = codec.combine(operands[:n_plus], operands[n_plus:])
+        assert isinstance(result, ResidueVector)
+        assert result.to_ints() == self.oracle(
+            reference, n, terms[:n_plus], terms[n_plus:]
+        )
+
+    def test_minus_heavy_net_negative_carries(self, codec, reference):
+        # One small plus term against 39 near-q minus terms drives every
+        # half's accumulator far below zero before the carry pass.
+        edges = boundary_residues(codec.modulus)
+        plus = [[0, 1, codec.modulus >> 1] + edges]
+        minus = [[codec.modulus - 1] * len(plus[0])] * 20 + [
+            list(reversed(plus[0]))
+        ] * 19
+        got = codec.combine([codec._from_ints(t) for t in plus], minus)
+        assert got.to_ints() == self.oracle(reference, len(plus[0]), plus, minus)
+
+    def test_matches_chained_add_subtract_on_masks(self, codec):
+        rng = default_rng(12)
+        plus = [codec.random_vector_array(64, rng) for _ in range(9)]
+        minus = [codec.random_vector_array(64, rng) for _ in range(7)]
+        chained = plus[0]
+        for term in plus[1:]:
+            chained = codec.add(chained, term)
+        for term in minus:
+            chained = codec.subtract(chained, term)
+        assert codec.combine(plus, minus) == chained
+
+    def test_rejects_empty_plus_and_length_mismatch(self, codec):
+        with pytest.raises(ValueError, match="plus"):
+            codec.combine([])
+        with pytest.raises(ValueError, match="plus"):
+            codec.combine([], [codec.zeros_array(2)])
+        with pytest.raises(ValueError, match="length"):
+            codec.combine([codec.zeros_array(2), codec.zeros_array(3)])
+        with pytest.raises(ValueError, match="length"):
+            codec.combine([codec.zeros_array(2)], [[0, 0, 0]])
 
 
 class TestRandomVectorStream:

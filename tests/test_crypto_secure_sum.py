@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.network import Network
 from repro.crypto.fixed_point import FixedPointCodec
 from repro.crypto.secure_sum import SecureSumAggregator, SecureSummationProtocol
+from repro.obs.audit import ProtocolAuditLog
 
 
 def make_protocol(n=4, mode="fresh", seed=0):
@@ -185,3 +186,29 @@ class TestAggregator:
         sums = aggregator.aggregate(outputs, "red", network)
         expected = sum(o["v"] for o in outputs.values())
         np.testing.assert_allclose(sums["v"], expected, atol=2 * 2.0**-20)
+
+
+class TestAuditFaultInjection:
+    @pytest.mark.parametrize(
+        ("mode", "rule"), [("fresh", "mask-balance"), ("prg", "pair-seed")]
+    )
+    def test_dropped_mask_is_audited_and_corrupts_the_sum(self, mode, rule, rng):
+        audit = ProtocolAuditLog()
+        participants = [f"m{i}" for i in range(4)]
+        protocol = SecureSummationProtocol(
+            Network(), participants, "red", mode=mode, seed=0, audit=audit
+        )
+        values = {p: rng.normal(size=5) for p in participants}
+        expected = sum(values.values())
+
+        protocol._audit_fault = ("m0", "m1")  # m1 never nets m0's mask
+        corrupted = protocol.sum_vectors(values)
+        assert not np.allclose(corrupted, expected, atol=1e-6)
+        (record,) = audit.rounds
+        assert not record.ok
+        assert {v.rule for v in record.violations} == {rule}
+        assert all("m0" in v.message and "m1" in v.message for v in record.violations)
+
+        protocol._audit_fault = None
+        np.testing.assert_allclose(protocol.sum_vectors(values), expected, atol=1e-8)
+        assert audit.rounds[-1].ok
